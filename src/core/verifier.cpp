@@ -102,7 +102,7 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
   plan.dedup_on = opts.pec_dedup;
   if (plan.dedup_on) {
     plan.classes = compute_pec_classes(net, pecs, deps, policy, plan.needed,
-                                       plan.is_target);
+                                       plan.is_target, opts.cores);
     plan.pec_classes = plan.classes.stats.classes;
     plan.pecs_deduped = plan.classes.stats.deduped;
     plan.dedup_fingerprint_time = plan.classes.stats.fingerprint_time;

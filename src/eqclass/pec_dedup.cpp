@@ -1,7 +1,11 @@
 #include "eqclass/pec_dedup.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <string_view>
+#include <thread>
+#include <tuple>
 #include <unordered_map>
 
 #include "netbase/hash.hpp"
@@ -51,7 +55,7 @@ std::uint64_t canonical_route_map(const RouteMap& rm, const Pec& pec) {
 }
 
 /// Caches canonical_route_map across the many per-PEC fingerprint passes of
-/// one compute_pec_classes call. A map with no prefix-matching clause has a
+/// one thread. A map with no prefix-matching clause has a
 /// PEC-independent canonical form (its footprint bitmask is all-ones for
 /// every PEC) — hash it once; only prefix-matching maps re-canonicalize per
 /// PEC. On map-heavy fabrics (eBGP on every link) this removes the dominant
@@ -98,163 +102,273 @@ bool loopback_delivers(const Network& net, const Pec& pec, std::size_t pi,
 // role, its slice of the PEC, the policy salts, and the (recursively hashed)
 // neighborhood — never of the node id — so equal structure yields equal
 // color values across different PECs. That invariance is what makes the
-// sorted color multiset a canonical form, and the (color, id) sort a
-// canonical candidate bijection.
+// color multiset a canonical form, and the (color, id) sort a canonical
+// candidate bijection.
+//
+// Every multiset (a node's neighborhood, a node's slice of the PEC, the final
+// color multiset) is folded as a sum of well-mixed hashes instead of a sorted
+// chain: addition commutes, so the kernel never sorts and, with its buffers
+// reused across PECs, never allocates. A sum can collide where a sorted chain
+// would not; that only costs a merge, because validation below is exact.
 // ---------------------------------------------------------------------------
 
-struct RefineEdge {
-  NodeId to = kNoNode;
-  std::uint64_t label = 0;  ///< costs / session maps / static-via relation
-};
+/// The PEC-independent half of the refinement input, built once per call:
+/// topology links as CSR arrays (node n's edges are [offset[n], offset[n+1]),
+/// labelled with both directions' costs) and each node's protocol role.
+struct RefineGraph {
+  std::vector<std::uint32_t> offset;
+  std::vector<NodeId> to;
+  std::vector<std::uint64_t> label;
+  std::vector<std::uint64_t> role;
 
-struct PecShape {
-  std::vector<std::uint64_t> colors;  ///< final refined color per node
-  std::uint64_t fingerprint = 0;
-};
-
-/// Topology-link refinement edges — PEC-independent, built once per
-/// compute_pec_classes call and re-used as the base of every PEC's edge set.
-std::vector<std::vector<RefineEdge>> topology_edges(const Network& net) {
-  std::vector<std::vector<RefineEdge>> edges(net.topo.node_count());
-  for (NodeId n = 0; n < edges.size(); ++n) {
-    for (const Adjacency& adj : net.topo.neighbors(n)) {
-      const Link& l = net.topo.link(adj.link);
-      RefineEdge e;
-      e.to = adj.neighbor;
-      e.label = hash_combine(hash_combine(0x701070ull, adj.cost),
-                             l.cost_from(adj.neighbor));
-      edges[n].push_back(e);
-    }
-  }
-  return edges;
-}
-
-PecShape pec_shape(const Network& net, const Pec& pec, const Policy& policy,
-                   const std::vector<std::vector<RefineEdge>>& topo_edges,
-                   RouteMapCanon& canon) {
-  const std::size_t n_nodes = net.topo.node_count();
-  PecShape shape;
-
-  // Relational edges the refinement (and the exploration) sees: topology
-  // links with per-direction costs, BGP sessions with footprint-canonical
-  // maps, and static-route via-neighbor relations from this PEC's slice.
-  std::vector<std::vector<RefineEdge>> edges = topo_edges;
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto& dev = net.device(n);
-    if (dev.bgp) {
-      for (const BgpSession& s : dev.bgp->sessions) {
-        RefineEdge e;
-        e.to = s.peer;
-        std::uint64_t label = hash_mix(s.ibgp ? 0xB6B1ull : 0xB6B0ull);
-        label = hash_combine(label, canon.of(s.import, pec));
-        label = hash_combine(label, canon.of(s.export_, pec));
-        e.label = label;
-        edges[n].push_back(e);
+  explicit RefineGraph(const Network& net) {
+    const std::size_t n_nodes = net.topo.node_count();
+    offset.reserve(n_nodes + 1);
+    role.reserve(n_nodes);
+    offset.push_back(0);
+    for (NodeId n = 0; n < n_nodes; ++n) {
+      for (const Adjacency& adj : net.topo.neighbors(n)) {
+        to.push_back(adj.neighbor);
+        label.push_back(hash_combine(hash_combine(0x701070ull, adj.cost),
+                                     net.topo.link(adj.link).cost_from(adj.neighbor)));
       }
+      offset.push_back(static_cast<std::uint32_t>(to.size()));
+      const DeviceConfig& dev = net.device(n);
+      role.push_back(hash_combine(hash_mix(dev.ospf.enabled ? 2 : 1), dev.bgp ? 2u : 1u));
     }
   }
-  for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
-    for (const auto& [dev, idx] : pec.prefixes[pi].static_routes) {
-      const StaticRoute& sr = net.device(dev).statics[idx];
-      if (sr.via_neighbor == kNoNode) continue;
-      RefineEdge e;
-      e.to = sr.via_neighbor;
-      e.label = hash_combine(0x57A7ull, pi);
-      edges[dev].push_back(e);
+};
+
+/// A PEC-specific refinement edge: a BGP session (its label carries the
+/// session's maps canonicalized on this PEC) or a static route's
+/// via-neighbor relation.
+struct SideEdge {
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+  std::uint64_t label = 0;
+};
+
+/// One thread's refinement kernel. `canon_` is a mutable memo, so every
+/// thread owns its own Refiner.
+class Refiner {
+ public:
+  Refiner(const Network& net, const RefineGraph& graph, const Policy& policy)
+      : net_(net),
+        graph_(graph),
+        sources_(policy.sources()),
+        interesting_(policy.interesting()) {}
+
+  /// Refines `pec` until its partition is stable and returns the canonical
+  /// fingerprint. The final colors stay readable through colors().
+  std::uint64_t refine(const Pec& pec) {
+    seed(pec);
+    const std::size_t n_nodes = color_.size();
+    // Each round's color is a function of the previous round's, so the
+    // partition only ever gets finer; when the number of distinct colors
+    // stops growing, it is stable.
+    std::size_t distinct = distinct_colors();
+    for (std::size_t round = 0; round < n_nodes; ++round) {
+      // next[n] = hash_combine(color[n], Σ hash_combine(label, color[to]))
+      // over n's edges; hash_combine(l, c) == hash_mix(l ^ hash_mix(c)), so
+      // each color is mixed once per round, not once per edge.
+      for (NodeId n = 0; n < n_nodes; ++n) mixed_[n] = hash_mix(color_[n]);
+      for (NodeId n = 0; n < n_nodes; ++n) {
+        std::uint64_t sum = 0;
+        for (std::uint32_t e = graph_.offset[n]; e < graph_.offset[n + 1]; ++e) {
+          sum += hash_mix(graph_.label[e] ^ mixed_[graph_.to[e]]);
+        }
+        next_[n] = sum;
+      }
+      for (const SideEdge& e : side_) next_[e.from] += hash_mix(e.label ^ mixed_[e.to]);
+      for (NodeId n = 0; n < n_nodes; ++n) next_[n] = hash_combine(color_[n], next_[n]);
+      color_.swap(next_);
+      const std::size_t d = distinct_colors();
+      if (d == distinct) break;
+      distinct = d;
     }
+
+    // Canonical form: color multiset + prefix structure. (Prefix *values*
+    // are deliberately absent — only lengths and the footprints already
+    // folded into the colors matter to the exploration.)
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : color_) sum += hash_mix(c);
+    std::uint64_t fp = hash_combine(hash_combine(0xF1F0ull, n_nodes), sum);
+    fp = hash_combine(fp, pec.prefixes.size());
+    for (const PecPrefix& pp : pec.prefixes) fp = hash_combine(fp, pp.prefix.length());
+    return fp;
   }
 
-  // Base colors: configuration role + PEC slice + policy salts. Sources and
-  // interesting nodes get position-unique salts, so they sit alone in their
-  // color class and the canonical bijection can only map them to themselves.
-  std::vector<std::uint64_t> color(n_nodes);
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto& dev = net.device(n);
-    std::uint64_t h = hash_mix(dev.ospf.enabled ? 2 : 1);
-    h = hash_combine(h, dev.bgp ? 2u : 1u);
+  [[nodiscard]] const std::vector<std::uint64_t>& colors() const { return color_; }
+
+ private:
+  /// Base colors and the PEC's side edges. Base color = configuration role
+  /// + PEC slice + policy salts. Sources and interesting nodes get
+  /// position-unique salts, so they sit alone in their color class and the
+  /// canonical bijection can only map them to themselves.
+  void seed(const Pec& pec) {
+    const std::size_t n_nodes = graph_.role.size();
+    slice_.assign(n_nodes, 0);
+    side_.clear();
     for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
       const PecPrefix& pp = pec.prefixes[pi];
-      if (std::find(pp.ospf_origins.begin(), pp.ospf_origins.end(), n) !=
-          pp.ospf_origins.end()) {
-        h = hash_combine(h, 0x10 + pi * 8);
+      for (const NodeId n : pp.ospf_origins) slice_[n] += hash_mix(0x10 + pi * 8);
+      for (const NodeId n : pp.bgp_origins) slice_[n] += hash_mix(0x11 + pi * 8);
+      if (pp.prefix.length() == 32) {
+        for (NodeId n = 0; n < n_nodes; ++n) {
+          if (loopback_delivers(net_, pec, pi, n)) slice_[n] += hash_mix(0x12 + pi * 8);
+        }
       }
-      if (std::find(pp.bgp_origins.begin(), pp.bgp_origins.end(), n) !=
-          pp.bgp_origins.end()) {
-        h = hash_combine(h, 0x11 + pi * 8);
+      for (const auto& [dev, idx] : pp.static_routes) {
+        const StaticRoute& sr = net_.device(dev).statics[idx];
+        // via_neighbor is a relation (a side edge); drop/forward is a label.
+        slice_[dev] += hash_combine(0x13 + pi * 8, sr.drop ? 2u : 1u);
+        if (sr.via_neighbor != kNoNode) {
+          side_.push_back({dev, sr.via_neighbor, hash_combine(0x57A7ull, pi)});
+        }
       }
-      if (loopback_delivers(net, pec, pi, n)) h = hash_combine(h, 0x12 + pi * 8);
-      std::uint64_t statics_h = 0;
-      for (const auto& [dev_id, idx] : pp.static_routes) {
-        if (dev_id != n) continue;
-        const StaticRoute& sr = net.device(n).statics[idx];
-        // via_neighbor is a relation (edge above); drop/forward is a label.
-        statics_h += hash_combine(0x13 + pi * 8, sr.drop ? 2u : 1u);
-      }
-      h = hash_combine(h, statics_h);  // order-free multiset sum
     }
-    const auto sources = policy.sources();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      if (sources[i] == n) h = hash_combine(h, 0x50AD0000ull + i);
-    }
-    const auto interesting = policy.interesting();
-    for (std::size_t i = 0; i < interesting.size(); ++i) {
-      if (interesting[i] == n) h = hash_combine(h, 0x17770000ull + i);
-    }
-    color[n] = h;
-  }
-
-  // Refine until the partition stabilizes. Each round's color is a function
-  // of the previous round's, so the partition only ever gets finer; when the
-  // number of distinct colors stops growing, it is stable.
-  std::vector<std::uint64_t> next(n_nodes);
-  std::vector<std::uint64_t> scratch;
-  std::size_t distinct = 0;
-  for (std::size_t round = 0; round <= n_nodes; ++round) {
-    scratch.assign(color.begin(), color.end());
-    std::sort(scratch.begin(), scratch.end());
-    const std::size_t d =
-        static_cast<std::size_t>(std::unique(scratch.begin(), scratch.end()) -
-                                 scratch.begin());
-    if (round > 0 && d == distinct) break;
-    distinct = d;
-    std::vector<std::uint64_t> sig;
+    color_.resize(n_nodes);
     for (NodeId n = 0; n < n_nodes; ++n) {
-      sig.clear();
-      for (const RefineEdge& e : edges[n]) {
-        sig.push_back(hash_combine(e.label, color[e.to]));
+      color_[n] = hash_combine(graph_.role[n], slice_[n]);
+      const auto& dev = net_.device(n);
+      if (!dev.bgp) continue;
+      for (const BgpSession& s : dev.bgp->sessions) {
+        std::uint64_t label = hash_mix(s.ibgp ? 0xB6B1ull : 0xB6B0ull);
+        label = hash_combine(label, canon_.of(s.import, pec));
+        label = hash_combine(label, canon_.of(s.export_, pec));
+        side_.push_back({n, s.peer, label});
       }
-      std::sort(sig.begin(), sig.end());
-      std::uint64_t h = color[n];
-      for (const std::uint64_t s : sig) h = hash_combine(h, s);
-      next[n] = h;
     }
-    color.swap(next);
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      color_[sources_[i]] = hash_combine(color_[sources_[i]], 0x50AD0000ull + i);
+    }
+    for (std::size_t i = 0; i < interesting_.size(); ++i) {
+      color_[interesting_[i]] = hash_combine(color_[interesting_[i]], 0x17770000ull + i);
+    }
+    next_.resize(n_nodes);
+    mixed_.resize(n_nodes);
   }
 
-  // Canonical form: sorted color multiset + prefix structure. (Prefix
-  // *values* are deliberately absent — only lengths and the footprints
-  // already folded into the colors matter to the exploration.)
-  scratch.assign(color.begin(), color.end());
-  std::sort(scratch.begin(), scratch.end());
-  std::uint64_t fp = hash_span(std::span<const std::uint64_t>(scratch));
-  fp = hash_combine(fp, pec.prefixes.size());
-  for (const PecPrefix& pp : pec.prefixes) {
-    fp = hash_combine(fp, pp.prefix.length());
+  std::size_t distinct_colors() {
+    scratch_.assign(color_.begin(), color_.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    return static_cast<std::size_t>(std::unique(scratch_.begin(), scratch_.end()) -
+                                    scratch_.begin());
   }
-  shape.colors = std::move(color);
-  shape.fingerprint = fp;
-  return shape;
-}
 
-/// Nodes ordered by (final color, id): the canonical order used to construct
-/// the candidate bijection between two PECs with equal fingerprints.
-std::vector<NodeId> canonical_order(const std::vector<std::uint64_t>& colors) {
-  std::vector<NodeId> order(colors.size());
-  for (NodeId n = 0; n < order.size(); ++n) order[n] = n;
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+  const Network& net_;
+  const RefineGraph& graph_;
+  std::span<const NodeId> sources_;
+  std::span<const NodeId> interesting_;
+  RouteMapCanon canon_;
+  std::vector<SideEdge> side_;
+  std::vector<std::uint64_t> slice_, color_, next_, mixed_, scratch_;
+};
+
+/// One PEC's refinement result as compute_pec_classes consumes it.
+struct PecShape {
+  std::uint64_t fingerprint = 0;
+  std::vector<std::uint64_t> colors;  ///< final refined color per node
+  /// Nodes ordered by (final color, id): the canonical order used to build
+  /// the candidate bijection between two PECs with equal fingerprints.
+  std::vector<NodeId> canon;
+};
+
+void compute_shape(Refiner& refiner, const Pec& pec, PecShape& out) {
+  out.fingerprint = refiner.refine(pec);
+  out.colors.assign(refiner.colors().begin(), refiner.colors().end());
+  out.canon.resize(out.colors.size());
+  for (NodeId n = 0; n < out.canon.size(); ++n) out.canon[n] = n;
+  const auto& colors = out.colors;
+  std::sort(out.canon.begin(), out.canon.end(), [&](NodeId a, NodeId b) {
     return colors[a] != colors[b] ? colors[a] < colors[b] : a < b;
   });
-  return order;
+}
+
+/// Computes the shape of every PEC in `queue` and hands each to `consume` on
+/// the calling thread, strictly in queue order. With `threads` > 1 (and at
+/// least that many PECs), threads - 1 helpers compute shapes ahead into a
+/// window of 4 × threads slots, and the caller computes too whenever the
+/// next slot in order is still unclaimed. The window bounds memory to a few
+/// dozen color vectors whatever the PEC count. A shape is a pure function of
+/// its PEC and consumption is ordered, so what `consume` sees does not depend
+/// on the thread count.
+template <typename Consume>
+void for_each_shape(const Network& net, const PecSet& pecs, const Policy& policy,
+                    const RefineGraph& graph, std::span<const PecId> queue,
+                    int threads, Consume&& consume) {
+  const std::size_t n = queue.size();
+  const std::size_t t = threads > 1 ? static_cast<std::size_t>(threads) : 1;
+  const std::size_t helpers = n >= t ? t - 1 : 0;
+  const std::size_t window = helpers == 0 ? 1 : 4 * t;
+  std::vector<PecShape> slots(window);
+  std::vector<std::uint8_t> ready(window, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t next_claim = 0;  // guarded by mu, as are ready and consumed
+  std::size_t consumed = 0;
+
+  const auto claimable = [&] { return next_claim < n && next_claim < consumed + window; };
+  // Computes the claimed shape `i` outside the lock; returns with it held.
+  const auto compute = [&](Refiner& refiner, std::unique_lock<std::mutex>& lock) {
+    const std::size_t i = next_claim++;
+    lock.unlock();
+    compute_shape(refiner, pecs.pecs[queue[i]], slots[i % window]);
+    lock.lock();
+    ready[i % window] = 1;
+    cv.notify_all();
+  };
+
+  std::vector<std::thread> pool;
+  // Stops and joins the helpers on every exit path, an exception in
+  // `consume` included.
+  struct Joiner {
+    std::vector<std::thread>& pool;
+    std::mutex& mu;
+    std::condition_variable& cv;
+    std::size_t& next_claim;
+    std::size_t n;
+    ~Joiner() {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        next_claim = n;
+      }
+      cv.notify_all();
+      for (std::thread& th : pool) th.join();
+    }
+  } joiner{pool, mu, cv, next_claim, n};
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.emplace_back([&] {
+      Refiner refiner(net, graph, policy);
+      std::unique_lock<std::mutex> lock(mu);
+      for (;;) {
+        cv.wait(lock, [&] { return next_claim >= n || claimable(); });
+        if (next_claim >= n) return;
+        compute(refiner, lock);
+      }
+    });
+  }
+
+  Refiner refiner(net, graph, policy);
+  for (std::size_t i = 0; i < n; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      while (ready[i % window] == 0) {
+        if (claimable()) {
+          compute(refiner, lock);
+        } else {
+          cv.wait(lock);
+        }
+      }
+    }
+    consume(queue[i], slots[i % window]);
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ready[i % window] = 0;
+      ++consumed;
+    }
+    cv.notify_all();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -264,131 +378,183 @@ std::vector<NodeId> canonical_order(const std::vector<std::uint64_t>& colors) {
 // an unsound verdict transfer.
 // ---------------------------------------------------------------------------
 
-bool sorted_equal_mapped(std::vector<std::uint64_t> a, std::vector<std::uint64_t> b) {
+bool sorted_equal(std::vector<std::uint64_t>& a, std::vector<std::uint64_t>& b) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
 }
 
-/// pi maps nodes of `a`'s exploration onto `b`'s.
-bool validate_isomorphism(const Network& net, const Pec& a, const Pec& b,
-                          const Policy& policy, std::span<const NodeId> pi,
-                          RouteMapCanon& canon) {
-  const std::size_t n_nodes = net.topo.node_count();
+/// Validates candidate bijections against one network and policy. Scratch
+/// buffers are reused across candidates; `canon_` is a mutable memo.
+class IsoValidator {
+ public:
+  IsoValidator(const Network& net, const Policy& policy)
+      : net_(net),
+        policy_(policy),
+        stamp_(net.topo.node_count(), 0),
+        cost_(net.topo.node_count()) {}
 
-  // Policy fixed points: declared special nodes must be preserved exactly —
-  // the policy predicate is only renaming-invariant over undeclared nodes
-  // (the same contract policy pruning and DEC merging already assume).
-  for (const NodeId s : policy.sources()) {
-    if (pi[s] != s) return false;
-  }
-  for (const NodeId s : policy.interesting()) {
-    if (pi[s] != s) return false;
-  }
+  /// pi maps nodes of `a`'s exploration onto `b`'s.
+  bool validate(const Pec& a, const Pec& b, std::span<const NodeId> pi) {
+    const std::size_t n_nodes = net_.topo.node_count();
 
-  // Prefix structure. Prefix lengths are pairwise distinct inside a PEC
-  // (every contributing prefix covers the whole PEC range), so index-wise
-  // pairing is the canonical one.
-  if (a.prefixes.size() != b.prefixes.size()) return false;
-  for (std::size_t i = 0; i < a.prefixes.size(); ++i) {
-    if (a.prefixes[i].prefix.length() != b.prefixes[i].prefix.length()) {
-      return false;
+    // Policy fixed points: declared special nodes must be preserved exactly —
+    // the policy predicate is only renaming-invariant over undeclared nodes
+    // (the same contract policy pruning and DEC merging already assume).
+    for (const NodeId s : policy_.sources()) {
+      if (pi[s] != s) return false;
     }
-  }
+    for (const NodeId s : policy_.interesting()) {
+      if (pi[s] != s) return false;
+    }
 
-  // Topology automorphism, parallel-link safe: per node, the multiset of
-  // (mapped neighbor, out-cost, return-cost) must be preserved.
-  {
-    std::vector<std::uint64_t> la, lb;
+    // Prefix structure. Prefix lengths are pairwise distinct inside a PEC
+    // (every contributing prefix covers the whole PEC range), so index-wise
+    // pairing is the canonical one.
+    if (a.prefixes.size() != b.prefixes.size()) return false;
+    for (std::size_t i = 0; i < a.prefixes.size(); ++i) {
+      if (a.prefixes[i].prefix.length() != b.prefixes[i].prefix.length()) {
+        return false;
+      }
+    }
+
+    if (!topology_preserved(pi)) return false;
+
+    // Device configuration equivalence under pi.
     for (NodeId n = 0; n < n_nodes; ++n) {
-      la.clear();
-      lb.clear();
-      for (const Adjacency& adj : net.topo.neighbors(n)) {
-        const Link& l = net.topo.link(adj.link);
-        la.push_back(hash_combine(
-            hash_combine(pi[adj.neighbor], adj.cost), l.cost_from(adj.neighbor)));
-      }
-      for (const Adjacency& adj : net.topo.neighbors(pi[n])) {
-        const Link& l = net.topo.link(adj.link);
-        lb.push_back(hash_combine(hash_combine(adj.neighbor, adj.cost),
-                                  l.cost_from(adj.neighbor)));
-      }
-      if (!sorted_equal_mapped(la, lb)) return false;
-    }
-  }
-
-  // Device configuration equivalence under pi.
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto& da = net.device(n);
-    const auto& db = net.device(pi[n]);
-    if (da.ospf.enabled != db.ospf.enabled) return false;
-    if (da.bgp.has_value() != db.bgp.has_value()) return false;
-    if (da.bgp) {
-      std::vector<std::uint64_t> sa, sb;
+      const auto& da = net_.device(n);
+      const auto& db = net_.device(pi[n]);
+      if (da.ospf.enabled != db.ospf.enabled) return false;
+      if (da.bgp.has_value() != db.bgp.has_value()) return false;
+      if (!da.bgp) continue;
+      la_.clear();
+      lb_.clear();
       for (const BgpSession& s : da.bgp->sessions) {
         std::uint64_t h = hash_combine(pi[s.peer], s.ibgp ? 2u : 1u);
-        h = hash_combine(h, canon.of(s.import, a));
-        h = hash_combine(h, canon.of(s.export_, a));
-        sa.push_back(h);
+        h = hash_combine(h, canon_.of(s.import, a));
+        la_.push_back(hash_combine(h, canon_.of(s.export_, a)));
       }
       for (const BgpSession& s : db.bgp->sessions) {
         std::uint64_t h = hash_combine(s.peer, s.ibgp ? 2u : 1u);
-        h = hash_combine(h, canon.of(s.import, b));
-        h = hash_combine(h, canon.of(s.export_, b));
-        sb.push_back(h);
+        h = hash_combine(h, canon_.of(s.import, b));
+        lb_.push_back(hash_combine(h, canon_.of(s.export_, b)));
       }
-      if (!sorted_equal_mapped(std::move(sa), std::move(sb))) return false;
+      if (!sorted_equal(la_, lb_)) return false;
     }
-  }
 
-  // Per-prefix slice correspondence.
-  for (std::size_t i = 0; i < a.prefixes.size(); ++i) {
-    const PecPrefix& pa = a.prefixes[i];
-    const PecPrefix& pb = b.prefixes[i];
-    auto mapped_set = [&](const std::vector<NodeId>& v) {
-      std::vector<std::uint64_t> out;
-      out.reserve(v.size());
-      for (const NodeId x : v) out.push_back(pi[x]);
-      return out;
+    // Per-prefix slice correspondence.
+    const auto same_mapped = [&](const std::vector<NodeId>& va,
+                                 const std::vector<NodeId>& vb) {
+      la_.clear();
+      for (const NodeId x : va) la_.push_back(pi[x]);
+      lb_.assign(vb.begin(), vb.end());
+      return sorted_equal(la_, lb_);
     };
-    auto raw_set = [](const std::vector<NodeId>& v) {
-      return std::vector<std::uint64_t>(v.begin(), v.end());
-    };
-    if (!sorted_equal_mapped(mapped_set(pa.ospf_origins), raw_set(pb.ospf_origins))) {
-      return false;
-    }
-    if (!sorted_equal_mapped(mapped_set(pa.bgp_origins), raw_set(pb.bgp_origins))) {
-      return false;
-    }
-    std::vector<std::uint64_t> sta, stb;
-    for (const auto& [dev, idx] : pa.static_routes) {
-      const StaticRoute& sr = net.device(dev).statics[idx];
-      if (sr.via_ip) return false;  // recursive: outcome-coupled, never dedup
-      sta.push_back(hash_combine(hash_combine(pi[dev], sr.drop ? 2u : 1u),
-                                 sr.drop ? kNoNode : pi[sr.via_neighbor]));
-    }
-    for (const auto& [dev, idx] : pb.static_routes) {
-      const StaticRoute& sr = net.device(dev).statics[idx];
-      if (sr.via_ip) return false;
-      stb.push_back(hash_combine(hash_combine(std::uint64_t{dev}, sr.drop ? 2u : 1u),
-                                 sr.drop ? kNoNode : sr.via_neighbor));
-    }
-    if (!sorted_equal_mapped(std::move(sta), std::move(stb))) return false;
-    // /32 loopback local delivery must be preserved node-by-node.
-    if (pa.prefix.length() == 32 || pb.prefix.length() == 32) {
-      for (NodeId n = 0; n < n_nodes; ++n) {
-        if (loopback_delivers(net, a, i, n) != loopback_delivers(net, b, i, pi[n])) {
-          return false;
+    for (std::size_t i = 0; i < a.prefixes.size(); ++i) {
+      const PecPrefix& pa = a.prefixes[i];
+      const PecPrefix& pb = b.prefixes[i];
+      if (!same_mapped(pa.ospf_origins, pb.ospf_origins)) return false;
+      if (!same_mapped(pa.bgp_origins, pb.bgp_origins)) return false;
+      la_.clear();
+      lb_.clear();
+      for (const auto& [dev, idx] : pa.static_routes) {
+        const StaticRoute& sr = net_.device(dev).statics[idx];
+        if (sr.via_ip) return false;  // recursive: outcome-coupled, never dedup
+        la_.push_back(hash_combine(hash_combine(pi[dev], sr.drop ? 2u : 1u),
+                                   sr.drop ? kNoNode : pi[sr.via_neighbor]));
+      }
+      for (const auto& [dev, idx] : pb.static_routes) {
+        const StaticRoute& sr = net_.device(dev).statics[idx];
+        if (sr.via_ip) return false;
+        lb_.push_back(hash_combine(hash_combine(std::uint64_t{dev}, sr.drop ? 2u : 1u),
+                                   sr.drop ? kNoNode : sr.via_neighbor));
+      }
+      if (!sorted_equal(la_, lb_)) return false;
+      // /32 loopback local delivery must be preserved node-by-node.
+      if (pa.prefix.length() == 32 || pb.prefix.length() == 32) {
+        for (NodeId n = 0; n < n_nodes; ++n) {
+          if (loopback_delivers(net_, a, i, n) != loopback_delivers(net_, b, i, pi[n])) {
+            return false;
+          }
         }
       }
     }
+    return true;
   }
-  return true;
-}
+
+ private:
+  /// Topology automorphism, exact and O(E): for every node n, the links of
+  /// pi[n] are stamped by neighbor with their out cost, then each link of n
+  /// must consume the stamp of its mapped neighbor with an equal out cost.
+  /// Equal degrees and all stamps consumed make the out-links identical; a
+  /// link's back cost is checked as the out cost at its other end. A
+  /// neighbor stamped twice means parallel links at pi[n], where out costs
+  /// alone cannot tell which back cost belongs to which link, so that node
+  /// compares sorted (mapped neighbor, cost out, cost back) tuples instead.
+  bool topology_preserved(std::span<const NodeId> pi) {
+    const Topology& topo = net_.topo;
+    for (NodeId n = 0; n < topo.node_count(); ++n) {
+      const auto own = topo.neighbors(n);
+      const auto image = topo.neighbors(pi[n]);
+      if (own.size() != image.size()) return false;
+      if (++epoch_ == 0) {  // wrapped: every stale stamp must read as empty
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        epoch_ = 1;
+      }
+      bool parallel = false;
+      for (const Adjacency& adj : image) {
+        if (stamp_[adj.neighbor] == epoch_) {
+          parallel = true;
+          break;
+        }
+        stamp_[adj.neighbor] = epoch_;
+        cost_[adj.neighbor] = adj.cost;
+      }
+      if (parallel) {
+        if (!link_multisets_equal(n, pi)) return false;
+        continue;
+      }
+      for (const Adjacency& adj : own) {
+        const NodeId m = pi[adj.neighbor];
+        if (stamp_[m] != epoch_ || cost_[m] != adj.cost) return false;
+        stamp_[m] = 0;  // consumed: a second link onto m needs a second stamp
+      }
+    }
+    return true;
+  }
+
+  /// Parallel-link fallback: the multisets of (mapped neighbor, cost out,
+  /// cost back) at n and at pi[n] must be equal, compared exactly.
+  bool link_multisets_equal(NodeId n, std::span<const NodeId> pi) {
+    const Topology& topo = net_.topo;
+    const auto links = [&](NodeId x, bool mapped, std::vector<LinkKey>& out) {
+      out.clear();
+      for (const Adjacency& adj : topo.neighbors(x)) {
+        out.push_back({mapped ? pi[adj.neighbor] : adj.neighbor, adj.cost,
+                       topo.link(adj.link).cost_from(adj.neighbor)});
+      }
+      std::sort(out.begin(), out.end());
+    };
+    links(n, true, links_a_);
+    links(pi[n], false, links_b_);
+    return links_a_ == links_b_;
+  }
+
+  using LinkKey = std::tuple<NodeId, std::uint32_t, std::uint32_t>;
+
+  const Network& net_;
+  const Policy& policy_;
+  RouteMapCanon canon_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> cost_;
+  std::vector<std::uint64_t> la_, lb_;
+  std::vector<LinkKey> links_a_, links_b_;
+};
 
 // ---------------------------------------------------------------------------
 // Serve-layer fingerprints (PecFingerprint in the header): `canon` reuses
-// pec_shape against an empty policy; `residue` pins the identities canon
+// the Refiner against an empty policy; `residue` pins the identities canon
 // abstracts away. Everything hashes config *values* through the constexpr
 // mixers so the result is stable across processes and runs.
 // ---------------------------------------------------------------------------
@@ -539,13 +705,12 @@ std::vector<PecFingerprint> compute_pec_fingerprints(const Network& net,
                                                      const PecSet& pecs) {
   std::vector<PecFingerprint> out(pecs.pecs.size());
   const NullFingerprintPolicy null_policy;
-  RouteMapCanon canon;
-  const auto topo_edges = topology_edges(net);
+  const RefineGraph graph(net);
+  Refiner refiner(net, graph, null_policy);
   const std::uint64_t net_res = network_residue(net);
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     const Pec& pec = pecs.pecs[p];
-    out[p].canon =
-        pec_shape(net, pec, null_policy, topo_edges, canon).fingerprint;
+    out[p].canon = refiner.refine(pec);
     // Per-PEC residue: the address range, concrete prefix values, the
     // identity-bearing slice (who originates, which static routes by value),
     // and the range-intersecting prefix-valued config.
@@ -571,11 +736,17 @@ std::vector<PecFingerprint> compute_pec_fingerprints(const Network& net,
   return out;
 }
 
+bool is_pec_isomorphism(const Network& net, const Pec& a, const Pec& b,
+                        const Policy& policy, std::span<const NodeId> pi) {
+  return IsoValidator(net, policy).validate(a, b, pi);
+}
+
 PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
                                 const PecDependencies& deps,
                                 const Policy& policy,
                                 std::span<const std::uint8_t> needed,
-                                std::span<const std::uint8_t> is_target) {
+                                std::span<const std::uint8_t> is_target,
+                                int threads) {
   const auto start = std::chrono::steady_clock::now();
   PecClassSet out;
   out.rep_of.assign(pecs.pecs.size(), kNoPec);
@@ -598,61 +769,54 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
     }
     return true;
   };
-
-  struct Class {
-    PecId rep = 0;
-    std::vector<std::uint64_t> colors;   ///< representative's refined colors
-    std::vector<NodeId> canon;           ///< representative's canonical order
-  };
-  std::unordered_map<std::uint64_t, std::vector<Class>> buckets;
-  std::vector<NodeId> pi(net.topo.node_count());
-  RouteMapCanon map_canon;
-  std::vector<std::vector<RefineEdge>> topo_edges;
-
+  std::vector<PecId> queue;
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     if (needed[p] == 0) continue;
     out.rep_of[p] = p;
-    if (!eligible(p)) {
-      if (is_target[p] != 0) ++out.stats.classes;  // ineligible target: singleton
-      continue;
+    if (eligible(p)) {
+      queue.push_back(p);
+    } else if (is_target[p] != 0) {
+      ++out.stats.classes;  // ineligible target: singleton
     }
-    if (topo_edges.empty()) topo_edges = topology_edges(net);
-    PecShape shape = pec_shape(net, pecs.pecs[p], policy, topo_edges, map_canon);
+  }
+
+  struct Class {
+    PecId rep = 0;
+    std::vector<std::uint64_t> colors;  ///< representative's refined colors
+    std::vector<NodeId> canon;          ///< representative's canonical order
+  };
+  std::unordered_map<std::uint64_t, std::vector<Class>> buckets;
+  std::vector<NodeId> pi(net.topo.node_count());
+  IsoValidator validator(net, policy);
+  const auto consume = [&](PecId p, PecShape& shape) {
     auto& bucket = buckets[shape.fingerprint];
-    const std::vector<NodeId> canon = canonical_order(shape.colors);
-    bool joined = false;
     for (Class& cls : bucket) {
       // Candidate bijection: i-th node in the representative's canonical
       // (color, id) order maps to the i-th in the member's. Equal color
       // multisets (same fingerprint) make the pairing color-aligned.
       bool color_aligned = true;
-      for (std::size_t i = 0; i < canon.size(); ++i) {
-        if (cls.colors[cls.canon[i]] != shape.colors[canon[i]]) {
+      for (std::size_t i = 0; i < shape.canon.size(); ++i) {
+        if (cls.colors[cls.canon[i]] != shape.colors[shape.canon[i]]) {
           color_aligned = false;
           break;
         }
-        pi[cls.canon[i]] = canon[i];
+        pi[cls.canon[i]] = shape.canon[i];
       }
       if (!color_aligned) continue;  // hash-collision bucket: not the same shape
-      if (!validate_isomorphism(net, pecs.pecs[cls.rep], pecs.pecs[p], policy,
-                                pi, map_canon)) {
-        continue;
-      }
+      if (!validator.validate(pecs.pecs[cls.rep], pecs.pecs[p], pi)) continue;
       out.rep_of[p] = cls.rep;
       out.members_of[cls.rep].push_back(p);
       ++out.stats.deduped;
-      joined = true;
-      break;
+      return;
     }
-    if (!joined) {
-      Class cls;
-      cls.rep = p;
-      cls.canon = canon;
-      cls.colors = std::move(shape.colors);
-      bucket.push_back(std::move(cls));
-      ++out.stats.classes;
-    }
+    bucket.push_back(Class{p, std::move(shape.colors), std::move(shape.canon)});
+    ++out.stats.classes;
+  };
+  if (!queue.empty()) {
+    const RefineGraph graph(net);
+    for_each_shape(net, pecs, policy, graph, queue, threads, consume);
   }
+
   // Singletons = classes that never gained a member (ineligible targets and
   // unmatched eligible PECs alike) — the honest-fallback count.
   std::size_t multi = 0;

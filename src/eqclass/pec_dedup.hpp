@@ -12,6 +12,7 @@
 // configuration isomorphism:
 //
 //   · topology automorphism (per-direction link costs, parallel links),
+//     checked exactly in O(E) by stamping each node's image links,
 //   · per-device config equivalence (OSPF role, BGP sessions with
 //     route maps canonicalized to their evaluation footprint on the PEC's
 //     prefixes, static-route slices, /32 loopback delivery),
@@ -29,6 +30,12 @@
 // produce per-PEC converged outcomes that do not transfer. Failed validation
 // degrades to a singleton class — asymmetric networks pay only the
 // fingerprinting cost.
+//
+// That cost is kept small: refinement folds each neighbourhood as an
+// order-free multiset sum over CSR topology arrays, so it never sorts, and
+// the topology check is O(E). Fingerprints are computed on the verifier's
+// threads in a bounded window and consumed in PEC order, so the classes
+// never depend on the thread count.
 #pragma once
 
 #include <chrono>
@@ -75,11 +82,22 @@ struct PecClassSet {
 /// considered; everything else keeps rep_of[p] == p semantics via singleton
 /// treatment at the verifier (rep_of[p] is set to p for needed-but-ineligible
 /// PECs so callers can treat the vector uniformly).
+///
+/// `threads` > 1 computes the per-PEC fingerprints on that many threads;
+/// bucketing and validation stay serial in PEC order, so the result is
+/// identical for every thread count (the shard plan hash depends on it).
 PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
                                 const PecDependencies& deps,
                                 const Policy& policy,
                                 std::span<const std::uint8_t> needed,
-                                std::span<const std::uint8_t> is_target);
+                                std::span<const std::uint8_t> is_target,
+                                int threads = 1);
+
+/// True when the node permutation `pi` (nodes of `a`'s exploration onto
+/// `b`'s) is a configuration isomorphism between PECs `a` and `b` under
+/// `policy` — the proof compute_pec_classes demands before it groups two PECs.
+bool is_pec_isomorphism(const Network& net, const Pec& a, const Pec& b,
+                        const Policy& policy, std::span<const NodeId> pi);
 
 /// Stable per-PEC identity for the serve-layer verdict cache
 /// (src/serve/verdict_cache.hpp). Two halves with opposite invariances:

@@ -4,7 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <signal.h>
-#include <sys/select.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <list>
 #include <thread>
+#include <vector>
 
 namespace plankton::serve {
 
@@ -228,7 +229,7 @@ int run_server(const ServerOptions& opts) {
   // let a disconnecting client kill the daemon.
   ::signal(SIGPIPE, SIG_IGN);
   // Graceful drain on SIGTERM/SIGINT. sigaction without SA_RESTART so a
-  // signal interrupts select() instead of waiting out the tick.
+  // signal interrupts poll() instead of waiting out the tick.
   g_drain_requested = 0;
   struct sigaction sa {};
   sa.sa_handler = on_drain_signal;
@@ -282,33 +283,38 @@ int run_server(const ServerOptions& opts) {
   std::list<ClientConn> clients;
   bool shutdown = false;
   char buf[1 << 16];
+  // poll(), not select(): an fd_set holds fds below FD_SETSIZE only, and a
+  // daemon with many clients (or a host process with many open files) gets
+  // connection fds past it.
+  std::vector<pollfd> pfds;
   while (!shutdown && g_drain_requested == 0) {
-    fd_set fds;
-    FD_ZERO(&fds);
-    int maxfd = -1;
-    const auto arm = [&fds, &maxfd](int fd) {
-      FD_SET(fd, &fds);
-      if (fd > maxfd) maxfd = fd;
-    };
-    if (unix_fd >= 0) arm(unix_fd);
-    if (tcp_fd >= 0) arm(tcp_fd);
-    for (const ClientConn& c : clients) arm(c.fd);
+    // Listeners first, then every client in list order.
+    pfds.clear();
+    for (const int listener : {unix_fd, tcp_fd}) {
+      if (listener >= 0) pfds.push_back({listener, POLLIN, 0});
+    }
+    const std::size_t first_client = pfds.size();
+    for (const ClientConn& c : clients) pfds.push_back({c.fd, POLLIN, 0});
     // The periodic tick: even with every client silent, the loop wakes to
-    // enforce read/idle deadlines (the old null-timeout select slept forever
-    // with a client stalled mid-frame, wedging everyone else).
-    timeval tick{};
-    tick.tv_usec = 50 * 1000;
-    const int ready = ::select(maxfd + 1, &fds, nullptr, nullptr, &tick);
+    // enforce read/idle deadlines (a null timeout would sleep forever with a
+    // client stalled mid-frame, wedging everyone else).
+    const int ready = ::poll(pfds.data(), pfds.size(), 50);
     if (ready < 0 && errno != EINTR) {
-      std::fprintf(stderr, "plankton_serve: select: %s\n",
+      std::fprintf(stderr, "plankton_serve: poll: %s\n",
                    std::strerror(errno));
       break;
     }
     const auto now = Clock::now();
+    const auto readable = [&pfds, ready](std::size_t i) {
+      // A hung-up or failed socket counts as readable: read() reports it.
+      return ready > 0 && i < pfds.size() &&
+             (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+    };
 
     // Accept new connections (both listeners may be ready in one tick).
-    for (const int listener : {unix_fd, tcp_fd}) {
-      if (ready <= 0 || listener < 0 || !FD_ISSET(listener, &fds)) continue;
+    for (std::size_t i = 0; i < first_client; ++i) {
+      if (!readable(i)) continue;
+      const int listener = pfds[i].fd;
       const int conn = ::accept(listener, nullptr, nullptr);
       if (conn < 0) continue;
       const bool is_tcp = listener == tcp_fd;
@@ -333,10 +339,12 @@ int run_server(const ServerOptions& opts) {
       clients.push_back(std::move(c));
     }
 
-    for (auto it = clients.begin(); it != clients.end() && !shutdown;) {
+    // Clients accepted above come last in the list and have no poll entry.
+    std::size_t slot = first_client;
+    for (auto it = clients.begin(); it != clients.end() && !shutdown; ++slot) {
       ClientConn& c = *it;
       bool close_conn = false;
-      if (ready > 0 && FD_ISSET(c.fd, &fds)) {
+      if (readable(slot)) {
         ++c.reads;
         if (wf.slow_read_at != 0 && c.reads == wf.slow_read_at) {
           std::this_thread::sleep_for(

@@ -1,7 +1,7 @@
 // Socket transport for plankton_serve: Unix-domain and/or TCP listeners
 // speaking PKS1 frames (sched/shard.hpp), plus the client-side helpers the
 // CLI uses. The accept loop multiplexes all connections through one
-// select() with a periodic tick — request *processing* is sequential (the
+// poll() with a periodic tick — request *processing* is sequential (the
 // resident Verifier is single-threaded state), but a client stalled
 // mid-frame can never block the others: overdue mid-frame reads and idle
 // connections are closed by per-client deadlines.
@@ -29,7 +29,8 @@ struct ServerOptions {
   /// for_worker(0, 0). Process faults are ignored here.
   sched::FaultPlan fault_plan;
   /// Accepted connections beyond this are refused with a polite
-  /// kVerdictReply error instead of queueing behind select().
+  /// kVerdictReply error instead of queueing behind poll(). Any value is
+  /// safe: poll() has no FD_SETSIZE ceiling on connection fds.
   std::size_t max_clients = 64;
   /// A client stalled mid-frame longer than this is disconnected (the
   /// satellite fix for the stalled-writer wedge). 0 disables.

@@ -106,7 +106,10 @@ class VerdictCache {
   bool load(const std::string& path, std::string& error);
 
   static constexpr std::uint32_t kCacheMagic = 0x504b4331;  // "PKC1"
-  static constexpr std::uint16_t kCacheVersion = 1;
+  /// Bumped whenever a key's meaning changes: version 2 keys come from the
+  /// multiset-sum refinement kernel, so a version-1 file (sorted-chain
+  /// canon values) is refused — a cold start, never a misread hit.
+  static constexpr std::uint16_t kCacheVersion = 2;
 
  private:
   static constexpr std::size_t kStripes = 16;

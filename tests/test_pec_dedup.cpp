@@ -9,19 +9,20 @@
 
 #include "core/verifier.hpp"
 #include "eqclass/pec_dedup.hpp"
+#include "workload/as_topo.hpp"
 #include "workload/fat_tree.hpp"
 
 namespace plankton {
 namespace {
 
 /// Class partition over all routed PECs of `net` under `policy`.
-PecClassSet classes_of(const Network& net, const Policy& policy) {
+PecClassSet classes_of(const Network& net, const Policy& policy, int threads = 1) {
   const PecSet pecs = compute_pecs(net);
   const PecDependencies deps = compute_dependencies(net, pecs);
   std::vector<std::uint8_t> needed(pecs.pecs.size(), 0);
   std::vector<std::uint8_t> is_target(pecs.pecs.size(), 0);
   for (const PecId p : pecs.routed()) needed[p] = is_target[p] = 1;
-  return compute_pec_classes(net, pecs, deps, policy, needed, is_target);
+  return compute_pec_classes(net, pecs, deps, policy, needed, is_target, threads);
 }
 
 /// Everything the dedup contract promises stays bit-identical: verdict plus
@@ -318,6 +319,105 @@ TEST(PecDedup, DedupOffSmoke) {
   EXPECT_EQ(off.pecs_deduped, 0u);
   for (const auto& rep : off.reports) {
     EXPECT_EQ(rep.translated_from, kNoPec);
+  }
+}
+
+TEST(PecDedup, ClassesIdenticalAtAnyThreadCount) {
+  // The shard plan hash covers the class partition, so fanning the
+  // fingerprints out over threads must not move a single PEC.
+  FatTreeOptions o;
+  o.k = 8;
+  const FatTree ft = make_fat_tree(o);
+  const AsTopo as = make_as_topo("AS1755");
+  const LoopFreedomPolicy loop;
+  const ReachabilityPolicy reach({ft.edges[0]});
+  const std::vector<std::pair<const Network*, const Policy*>> cases = {
+      {&ft.net, &loop}, {&ft.net, &reach}, {&as.net, &loop}};
+  for (const auto& [net, policy] : cases) {
+    const PecClassSet serial = classes_of(*net, *policy, 1);
+    ASSERT_GT(serial.stats.classes, 0u);
+    for (const int threads : {2, 4}) {
+      const PecClassSet par = classes_of(*net, *policy, threads);
+      EXPECT_EQ(par.rep_of, serial.rep_of) << policy->name() << " @" << threads;
+      EXPECT_EQ(par.members_of, serial.members_of) << policy->name() << " @" << threads;
+      EXPECT_EQ(par.stats.classes, serial.stats.classes);
+      EXPECT_EQ(par.stats.deduped, serial.stats.deduped);
+      EXPECT_EQ(par.stats.singletons, serial.stats.singletons);
+    }
+  }
+  // Sanity on what the cases cover: the fat tree collapses, the AS topology
+  // (seeded random costs) mostly does not.
+  EXPECT_EQ(classes_of(ft.net, loop, 4).stats.classes, 1u);
+  EXPECT_GT(classes_of(as.net, loop, 4).stats.singletons, 1u);
+}
+
+TEST(PecDedup, ParallelLinksStillMergeSymmetricPecs) {
+  // Two routers joined by two parallel links of different costs: the exact
+  // topology check sees a neighbor twice and takes the multiset path, which
+  // must still prove the a <-> b swap.
+  Network net = symmetric_pair();
+  net.topo.add_link(0, 1, 9);
+  const LoopFreedomPolicy policy;
+  const PecClassSet cs = classes_of(net, policy);
+  EXPECT_EQ(cs.stats.classes, 1u);
+  EXPECT_EQ(cs.stats.deduped, 1u);
+
+  const VerifyResult on = run(net, policy, true);
+  const VerifyResult off = run(net, policy, false);
+  EXPECT_TRUE(on.holds);
+  EXPECT_EQ(on.pecs_deduped, 1u);
+  EXPECT_EQ(on.pecs_verified, off.pecs_verified);
+}
+
+/// a - b - c, all OSPF, a and c each originating a /24; the caller adds the
+/// links.
+Network chain_nodes() {
+  Network net;
+  for (const char* name : {"a", "b", "c"}) {
+    const NodeId n = net.add_device(name, IpAddr(10, 0, 0, 1 + net.topo.node_count()));
+    net.device(n).ospf.enabled = true;
+    net.device(n).ospf.advertise_loopback = false;
+  }
+  net.device(0).ospf.originated.push_back(*Prefix::parse("10.1.0.0/24"));
+  net.device(2).ospf.originated.push_back(*Prefix::parse("10.3.0.0/24"));
+  return net;
+}
+
+/// Whether swapping a and c proves the PEC of a's prefix isomorphic to c's.
+bool swap_validates(const Network& net) {
+  const PecSet pecs = compute_pecs(net);
+  const std::vector<NodeId> swap = {2, 1, 0};
+  return is_pec_isomorphism(net, pecs.pecs[pecs.find(IpAddr(10, 1, 0, 1))],
+                            pecs.pecs[pecs.find(IpAddr(10, 3, 0, 1))],
+                            LoopFreedomPolicy(), swap);
+}
+
+TEST(PecDedup, ValidationRejectsAMismatchedReturnCost) {
+  {
+    Network net = chain_nodes();
+    net.topo.add_link(0, 1, 5, 5);
+    net.topo.add_link(2, 1, 5, 5);
+    EXPECT_TRUE(swap_validates(net));
+  }
+  {
+    // c's link has a's out cost but a different return cost.
+    Network net = chain_nodes();
+    net.topo.add_link(0, 1, 5, 5);
+    net.topo.add_link(2, 1, 5, 7);
+    EXPECT_FALSE(swap_validates(net));
+    EXPECT_EQ(classes_of(net, LoopFreedomPolicy()).stats.deduped, 0u);
+  }
+  {
+    // Parallel links whose out costs agree at every node ({5, 7} both ways)
+    // but pair up differently: a's links are (5 out, 7 back) and (7, 5),
+    // c's are (5, 5) and (7, 7). Failing one of a's links removes directed
+    // edges no single link of c carries, so the swap is no isomorphism.
+    Network net = chain_nodes();
+    net.topo.add_link(0, 1, 5, 7);
+    net.topo.add_link(0, 1, 7, 5);
+    net.topo.add_link(2, 1, 5, 5);
+    net.topo.add_link(2, 1, 7, 7);
+    EXPECT_FALSE(swap_validates(net));
   }
 }
 

@@ -298,6 +298,38 @@ TEST(VerdictCache, RejectsCorruptFiles) {
   std::remove(good_path.c_str());
 }
 
+TEST(VerdictCache, RejectsVersionOneFiles) {
+  // Version-1 files were keyed by the sort-and-chain refinement kernel's
+  // canon values; loading one under today's keys could only ever miss or,
+  // worse, collide. It must be refused whole.
+  const std::string path = tmp_path("cache_v1.pkc");
+  VerdictCache cache;
+  cache.insert(CacheKey{1, 2}, entry_of(Verdict::kHolds, 3));
+  std::string error;
+  ASSERT_TRUE(cache.save(path, error)) << error;
+  std::string blob;
+  {
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    blob = ss.str();
+  }
+  ASSERT_GT(blob.size(), 6u);
+  ASSERT_EQ(static_cast<unsigned char>(blob[4]), VerdictCache::kCacheVersion);
+  ASSERT_NE(VerdictCache::kCacheVersion, 1u);
+  blob[4] = 1;  // version is a little-endian u16 after the u32 magic
+  blob[5] = 0;
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(blob.data(), static_cast<std::streamsize>(blob.size()));
+
+  VerdictCache fresh;
+  EXPECT_FALSE(fresh.load(path, error));
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_EQ(fresh.counters().warm_loaded, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(VerdictCache, ConcurrentHammerKeepsCountsCoherent) {
   VerdictCache cache;
   constexpr int kThreads = 4;

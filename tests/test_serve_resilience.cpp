@@ -6,7 +6,10 @@
 // faulted connection while the daemon keeps serving.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/select.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,6 +18,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
@@ -166,6 +170,49 @@ TEST(ServeResilience, ConnectionCapRefusesGracefully) {
   ::close(first);
   server.join();
   std::remove(sock.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Connection fds past FD_SETSIZE: served (an fd_set would overflow)
+// ---------------------------------------------------------------------------
+
+TEST(ServeResilience, ServesConnectionFdsBeyondFdSetsize) {
+  // With select(), the first fd >= FD_SETSIZE was an out-of-bounds write
+  // into a stack fd_set. Fill the fd table so the listener, the client and
+  // the accepted connection all land past FD_SETSIZE; the client must still
+  // be served.
+  const rlim_t want = FD_SETSIZE + 64;
+  rlimit old{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
+  if (old.rlim_max != RLIM_INFINITY && old.rlim_max < want) {
+    GTEST_SKIP() << "hard RLIMIT_NOFILE " << old.rlim_max << " < " << want;
+  }
+  rlimit raised = old;
+  if (raised.rlim_cur != RLIM_INFINITY && raised.rlim_cur < want) raised.rlim_cur = want;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &raised), 0);
+  const int base = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(base, 0);
+  std::vector<int> filler{base};
+  while (filler.back() < FD_SETSIZE + 6) {
+    const int fd = ::dup(base);
+    ASSERT_GE(fd, 0) << "dup failed at fd " << filler.back();
+    filler.push_back(fd);
+  }
+
+  const std::string sock = tmp_path("resil_highfd.sock");
+  ServerOptions so;
+  so.unix_path = sock;
+  std::thread server([&] { run_server(so); });
+  const int client = connect_retry(sock);
+  EXPECT_GE(client, FD_SETSIZE);
+  std::string err;
+  EXPECT_TRUE(stats_roundtrip(client, err)) << err;
+  request_shutdown(client);
+  ::close(client);
+  server.join();
+  std::remove(sock.c_str());
+  for (const int fd : filler) ::close(fd);
+  ::setrlimit(RLIMIT_NOFILE, &old);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,21 +8,25 @@
 //   fattree_loop/K=8        fig7a: OSPF fat tree, loop policy, all PECs
 //   as_failures/AS1755      fig7d: OSPF AS topology, reachability, <=1 failure
 //   bgp_dc_worstcase/K=4    fig9:  BGP DC waypoint, det-node detection off,
-//                                  capped state count (pure hot-path churn)
+//                                  capped state count (pure hot-path churn;
+//                                  the 200k cap is not reached, so this is
+//                                  also the POR-on arm of the pair below)
+//   ibgp_mesh/AS3967 failures=1    fig7e: full iBGP mesh over the AS3967
+//                                  OSPF topology, loop policy, <=1 failure —
+//                                  the dependent iBGP PEC is a serial tail
 //   fattree_loop/K=8 bfs    the BFS frontier engine on the first workload —
 //                                  tracks the snapshot-restore overhead of
 //                                  the frontier layer in the trajectory
 //   fattree_loop/K=8 shards=2      the same workload through the 2-shard
 //                                  multi-process coordinator — tracks the
 //                                  fork + wire-protocol overhead
-//   bgp_dc_worstcase/K=4 por[-off] the uncapped interleaving-explosion
-//                                  workload with dynamic partial-order
-//                                  reduction on vs off — the por-off/por
-//                                  time ratio is the DPOR win in the
-//                                  trajectory (verdicts identical)
+//   bgp_dc_worstcase/K=4 por-off   the same workload uncapped with dynamic
+//                                  partial-order reduction off — its time
+//                                  ratio to the plain row is the DPOR win in
+//                                  the trajectory (verdicts identical)
 //   bgp_dc_worstcase/K=4 budget-*  the same workload under resource budgets:
 //                                  budget-slack never trips (its delta vs
-//                                  the por row is the governance overhead,
+//                                  the plain row is the governance overhead,
 //                                  < 2%), budget-trip is time-to-inconclusive
 //                                  under a 100 ms deadline
 //
@@ -113,9 +117,29 @@ int main(int argc, char** argv) {
       vo.explore.max_states = 200000;
       apply_mode(vo, optimized);
       Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-      row(std::string("bgp_dc_worstcase/K=4") + mode_tag(optimized),
-          verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
+      const VerifyResult r =
+          verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
+      row(std::string("bgp_dc_worstcase/K=4") + mode_tag(optimized), r);
+      if (optimized) {
+        std::printf("%-36s %10llu pruned  %10llu source sets\n",
+                    "  (reduction counters)",
+                    static_cast<unsigned long long>(r.total.por_pruned),
+                    static_cast<unsigned long long>(r.total.por_source_sets));
+      }
     }
+  }
+
+  {
+    // The iBGP dependency tail (fig7e): one external-prefix PEC explored
+    // over the converged outcomes of every loopback PEC, under each single
+    // link failure.
+    AsTopo topo = make_as_topo("AS3967");
+    add_ibgp_mesh(topo);
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.max_failures = 1;
+    Verifier verifier(topo.net, bench::assert_unbudgeted(vo));
+    row("ibgp_mesh/AS3967 failures=1", verifier.verify(LoopFreedomPolicy()));
   }
 
   {
@@ -147,32 +171,23 @@ int main(int argc, char** argv) {
   }
 
   {
-    // The DPOR pair: the fig9 worst-case BGP workload uncapped, por on vs
-    // off. This is the interleaving explosion the sleep/source-set reduction
-    // targets; both rows must report the same verdict, and the time ratio is
-    // the reduction factor tracked in the trajectory.
+    // The DPOR off-arm: the fig9 worst-case BGP workload uncapped with the
+    // sleep/source-set reduction off. The plain bgp_dc_worstcase/K=4 row is
+    // the on-arm (same verdict); the time ratio is the reduction factor
+    // tracked in the trajectory.
     FatTreeOptions o;
     o.k = 4;
     o.routing = FatTreeOptions::Routing::kBgpRfc7938;
     const FatTree ft = make_fat_tree(o);
     const WaypointPolicy policy({ft.edges.back()}, ft.aggs);
-    for (const bool por : {true, false}) {
-      VerifyOptions vo;
-      vo.cores = 1;
-      vo.explore.det_nodes_bgp = false;
-      vo.explore.suppress_equivalent = false;
-      vo.explore.por = por;
-      Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-      const VerifyResult r =
-          verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
-      row(std::string("bgp_dc_worstcase/K=4 por") + (por ? "" : "-off"), r);
-      if (por) {
-        std::printf("%-36s %10llu pruned  %10llu source sets\n",
-                    "  (reduction counters)",
-                    static_cast<unsigned long long>(r.total.por_pruned),
-                    static_cast<unsigned long long>(r.total.por_source_sets));
-      }
-    }
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.det_nodes_bgp = false;
+    vo.explore.suppress_equivalent = false;
+    vo.explore.por = false;
+    Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
+    row("bgp_dc_worstcase/K=4 por-off",
+        verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
   }
   {
     // Resource-governance rows (checker/budget.hpp), deliberately budgeted

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 
 namespace plankton {
 namespace {
@@ -64,10 +65,35 @@ BgpProcess::BgpProcess(const Network& net, Prefix prefix,
     if (net.device(n).bgp.has_value()) members_.push_back(n);
   }
   up_peers_.resize(net.topo.node_count());
-  ibgp_metric_.resize(net.topo.node_count());
+  up_senders_.resize(net.topo.node_count());
   min_as_len_.assign(net.topo.node_count(), kInfiniteCost);
   max_lp_in_.assign(net.topo.node_count(), 100);
   can_source_.assign(net.topo.node_count(), 0);
+  session_off_.assign(net.topo.node_count() + 1, 0);
+  for (NodeId n = 0; n < net.topo.node_count(); ++n) {
+    session_off_[n] = static_cast<std::uint32_t>(session_refs_.size());
+    if (!net.device(n).bgp) continue;
+    for (const auto& s : net.device(n).bgp->sessions) {
+      session_refs_.push_back(SessionRef{s.peer, &s});
+    }
+    // Config order breaks ties, so a duplicate peer resolves to its first
+    // session, as BgpConfig::session_with does.
+    std::sort(session_refs_.begin() + session_off_[n], session_refs_.end(),
+              [](const SessionRef& a, const SessionRef& b) {
+                return a.peer != b.peer ? a.peer < b.peer
+                                        : std::less<>{}(a.session, b.session);
+              });
+  }
+  session_off_.back() = static_cast<std::uint32_t>(session_refs_.size());
+}
+
+const BgpSession* BgpProcess::session(NodeId n, NodeId peer) const {
+  const auto first = session_refs_.begin() + session_off_[n];
+  const auto last = session_refs_.begin() + session_off_[n + 1];
+  const auto it = std::lower_bound(
+      first, last, peer,
+      [](const SessionRef& r, NodeId p) { return r.peer < p; });
+  return it != last && it->peer == peer ? it->session : nullptr;
 }
 
 RouteId BgpProcess::origin_route(NodeId origin, ModelContext& ctx) const {
@@ -93,7 +119,7 @@ bool BgpProcess::session_up(NodeId a, NodeId b, const FailureSet& failures,
 void BgpProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
   upstream_ = ctx.upstream;
   for (auto& v : up_peers_) v.clear();
-  for (auto& v : ibgp_metric_) v.clear();
+  for (auto& v : up_senders_) v.clear();
   global_max_lp_ = 100;
 
   std::fill(can_source_.begin(), can_source_.end(), 0);
@@ -103,18 +129,15 @@ void BgpProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
     for (const auto& s : bgp.sessions) {
       if (!session_up(n, s.peer, failures, ctx, s.ibgp)) continue;
       up_peers_[n].push_back(s.peer);
-      std::uint32_t metric = 0;
-      if (s.ibgp) {
-        metric = ctx.upstream != nullptr
-                     ? ctx.upstream->igp_cost(n, net_.device(s.peer).loopback)
-                     : 0;
-      } else {
-        can_source_[n] = 1;  // can learn over eBGP, may re-export anywhere
-      }
-      ibgp_metric_[n].push_back(metric);
+      if (!s.ibgp) can_source_[n] = 1;  // learns over eBGP, may re-export anywhere
       max_lp_in_[n] = std::max(max_lp_in_[n], max_settable_lp(s.import));
     }
     global_max_lp_ = std::max(global_max_lp_, max_lp_in_[n]);
+  }
+  for (const NodeId n : members_) {
+    for (const NodeId p : up_peers_[n]) {
+      if (can_transmit(p, n)) up_senders_[n].push_back(p);
+    }
   }
 
   // Lower bound on achievable AS-path length: 0-1 BFS over live sessions
@@ -130,11 +153,8 @@ void BgpProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
   while (!queue.empty()) {
     const NodeId n = queue.front();
     queue.pop_front();
-    const auto& bgp = *net_.device(n).bgp;
-    for (std::size_t i = 0; i < up_peers_[n].size(); ++i) {
-      const NodeId p = up_peers_[n][i];
-      const auto* session = bgp.session_with(p);
-      const std::uint32_t step = session->ibgp ? 0 : 1;
+    for (const NodeId p : up_peers_[n]) {
+      const std::uint32_t step = session(n, p)->ibgp ? 0 : 1;
       if (min_as_len_[n] == kInfiniteCost) continue;
       const std::uint32_t cand = min_as_len_[n] + step;
       if (cand < min_as_len_[p]) {
@@ -153,8 +173,8 @@ RouteId BgpProcess::advertised(NodeId p, NodeId n, RouteId peer_route,
                                ModelContext& ctx) const {
   if (peer_route == kNoRoute) return kNoRoute;
   const Route rp = ctx.routes.get(peer_route);  // copy: table may rehash below
-  const auto* sp = net_.device(p).bgp->session_with(n);  // export side (at p)
-  const auto* sn = net_.device(n).bgp->session_with(p);  // import side (at n)
+  const auto* sp = session(p, n);  // export side (at p)
+  const auto* sn = session(n, p);  // import side (at n)
   if (sp == nullptr || sn == nullptr) return kNoRoute;
   const bool ibgp = sp->ibgp;
   // iBGP-learned routes are not re-advertised to iBGP peers (full mesh).
@@ -208,18 +228,15 @@ int BgpProcess::compare(NodeId n, RouteId a, RouteId b,
 }
 
 bool BgpProcess::can_transmit(NodeId from, NodeId to) const {
-  const auto* session = net_.device(from).bgp->session_with(to);
-  if (session == nullptr) return false;
-  if (!session->ibgp) return true;
+  const auto* s = session(from, to);
+  if (s == nullptr) return false;
+  if (!s->ibgp) return true;
   return can_source_[from] != 0;  // iBGP-learned routes are not re-advertised
 }
 
 BgpProcess::Rank BgpProcess::optimistic_rank(NodeId n, NodeId p) const {
-  const auto* sn = net_.device(n).bgp->session_with(p);
+  const auto* sn = session(n, p);
   Rank r;
-  if (sn->ibgp && can_source_[p] == 0) {
-    return r;  // default rank (local_pref -1): p can never advertise to n
-  }
   if (sn->ibgp) {
     // Carried local-pref can have been set anywhere in the network.
     r.local_pref = global_max_lp_;
@@ -254,7 +271,9 @@ NodeId BgpProcess::deterministic_node(std::span<const NodeId> enabled,
     Rank best_rank;
     bool have = false;
     int winners = 0;
-    for (const NodeId p : up_peers_[n]) {
+    // Non-senders are skipped in both loops: they advertise ⊥, and their
+    // optimistic rank (local_pref -1) is below any real route.
+    for (const NodeId p : up_senders_[n]) {
       const RouteId adv = advertised(p, n, s.best(p), ctx);
       if (adv == kNoRoute || compare(n, adv, cur, ctx) <= 0) continue;
       const Rank rk = rank_of(ctx.routes.get(adv));
@@ -270,7 +289,7 @@ NodeId BgpProcess::deterministic_node(std::span<const NodeId> enabled,
     // Could an uncommitted peer ever deliver something ranked >= best_rank?
     bool beaten = false;
     bool tied_future = false;
-    for (const NodeId p : up_peers_[n]) {
+    for (const NodeId p : up_senders_[n]) {
       if (s.committed(p)) continue;  // §4.1.1: committed peers never change
       const Rank opt = optimistic_rank(n, p);
       if (opt > best_rank) {

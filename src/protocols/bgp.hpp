@@ -70,24 +70,41 @@ class BgpProcess final : public RoutingProcess {
                 r.learned_ibgp ? 0 : 1, -std::int64_t{r.metric}};
   }
 
-  /// Most optimistic rank an *uncommitted* peer `p` could ever deliver to `n`.
+  /// Most optimistic rank an *uncommitted* sender `p` (one of up_senders_[n])
+  /// could ever deliver to `n`.
   [[nodiscard]] Rank optimistic_rank(NodeId n, NodeId p) const;
 
   [[nodiscard]] bool session_up(NodeId a, NodeId b, const FailureSet& failures,
                                 const ModelContext& ctx, bool ibgp) const;
+
+  /// The session `n` has configured with `peer`, or nullptr. O(log degree)
+  /// through the sorted per-node index (BgpConfig::session_with scans).
+  [[nodiscard]] const BgpSession* session(NodeId n, NodeId peer) const;
 
   const Network& net_;
   Prefix prefix_;
   std::vector<NodeId> members_;
   std::vector<NodeId> origins_;
   std::vector<std::vector<NodeId>> up_peers_;
+  /// Per node: the up peers that can transmit to it (can_transmit(p, n)),
+  /// in up_peers_ order. A non-sender only ever advertises ⊥.
+  std::vector<std::vector<NodeId>> up_senders_;
   const UpstreamResolver* upstream_ = nullptr;
+
+  /// Sparse session index, built once from the config: node n's sessions
+  /// are session_refs_[session_off_[n] .. session_off_[n + 1]), sorted by
+  /// peer.
+  struct SessionRef {
+    NodeId peer = kNoNode;
+    const BgpSession* session = nullptr;
+  };
+  std::vector<std::uint32_t> session_off_;
+  std::vector<SessionRef> session_refs_;
 
   // Heuristic bounds, recomputed in prepare():
   std::vector<std::uint32_t> min_as_len_;   // 0-1 BFS over up sessions (eBGP=1, iBGP=0)
   std::vector<std::uint32_t> max_lp_in_;    // per node: max local-pref any import could set
   std::uint32_t global_max_lp_ = 100;       // bound for carried (iBGP) local-pref
-  std::vector<std::vector<std::uint32_t>> ibgp_metric_;  // [n] aligned with up_peers_[n]
   /// Nodes that can ever export over iBGP: origins or eBGP-attached devices
   /// (iBGP-learned routes are never re-advertised to iBGP peers, so other
   /// nodes can be ignored by the dominance check).

@@ -129,12 +129,18 @@ class RoutingProcess {
   [[nodiscard]] virtual bool valid(NodeId n, RouteId current, const StateView& s,
                                    ModelContext& ctx) const;
 
-  /// Can `from` ever transmit new routing information to `to`? Used by the
-  /// decision-independence reduction (§4.1.3): nodes with no possible
-  /// information flow between them (in either direction) may be explored in
-  /// a fixed order. Default: always possible. BGP refines this: a node with
-  /// neither an origin role nor an eBGP session can never advertise over
-  /// iBGP (no iBGP re-advertisement).
+  /// Can `from` ever transmit a route to `to`? The contract: false implies
+  /// advertised(from, to, r) == kNoRoute for every route r that `from` can
+  /// hold under the prepared failure set (and ctx.upstream binding).
+  ///
+  /// The explorer relies on it exactly (docs/architecture.md "Refresh
+  /// scope"): a move at `from` does not refresh `to`, and a refresh of `to`
+  /// does not read `from`'s advertisement. The decision-independence
+  /// reduction (§4.1.3) also uses it: nodes with no possible information
+  /// flow between them (in either direction) may be explored in a fixed
+  /// order. Default: always possible. BGP refines this: a node with neither
+  /// an origin role nor a live eBGP session holds only iBGP-learned routes,
+  /// which are never re-advertised over iBGP.
   [[nodiscard]] virtual bool can_transmit(NodeId from, NodeId to) const {
     (void)from;
     (void)to;

@@ -59,6 +59,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   in_comp_.reset(n);
   active_.resize(t);
   for (auto& a : active_) a.reset(n);
+  scope_.resize(t);
   ad_cache_on_ = opts_.ad_cache;
   for (std::size_t i = 0; i < t; ++i) {
     // The incremental expand path replays members() order from a sorted
@@ -328,7 +329,10 @@ Explorer::Flow Explorer::check_failure_set() {
   }
   for (std::size_t i = 0; i < ups.size(); ++i) {
     ctx_.upstream = ups[i];
-    for (auto& t : tasks_) t.process->prepare(failures_, ctx_);
+    for (std::size_t t = 0; t < tasks_.size(); ++t) {
+      tasks_[t].process->prepare(failures_, ctx_);
+      bind_scope(t);
+    }
     if (por_mode_ != PorMode::kOff) por_prepare();
     if (ad_cache_on_) {
       // One cache generation per (failure set, upstream outcome index):
@@ -440,7 +444,7 @@ void Explorer::refresh_node(std::size_t task_idx, NodeId n) {
     const bool invalid = cur != kNoRoute && !proc.valid(n, cur, view, ctx_);
     const RouteId base = invalid ? kNoRoute : cur;
     bool can_update = false;
-    for (std::size_t i = 0; i < peers.size(); ++i) {
+    for (const std::uint32_t i : senders(task_idx, n)) {
       const RouteId a = adv(proc, task_idx, n, i, peers[i]);
       if (a != kNoRoute && proc.compare(n, a, base, ctx_) > 0) {
         can_update = true;
@@ -460,10 +464,46 @@ void Explorer::refresh_node(std::size_t task_idx, NodeId n) {
 }
 
 void Explorer::refresh_around(std::size_t task_idx, NodeId n) {
+  // refresh_node(p) reads rib[p], p's senders' adverts, and valid(p), which
+  // looks at the head of p's path — a node that once sent p a route. A move
+  // at n changes none of these unless n can transmit to p.
   refresh_node(task_idx, n);
-  for (const NodeId p : tasks_[task_idx].process->peers(n)) {
-    refresh_node(task_idx, p);
+  for (const NodeId p : receivers(task_idx, n)) refresh_node(task_idx, p);
+}
+
+void Explorer::bind_scope(std::size_t task_idx) {
+  const RoutingProcess& proc = *tasks_[task_idx].process;
+  RefreshScope& s = scope_[task_idx];
+  const auto nodes = static_cast<NodeId>(net_.topo.node_count());
+  s.full = true;
+  for (NodeId n = 0; n < nodes && s.full; ++n) {
+    const std::span<const NodeId> peers = proc.peers(n);
+    while (peer_iota_.size() < peers.size()) {
+      peer_iota_.push_back(static_cast<std::uint32_t>(peer_iota_.size()));
+    }
+    for (const NodeId p : peers) {
+      if (!proc.can_transmit(p, n) || !proc.can_transmit(n, p)) {
+        s.full = false;
+        break;
+      }
+    }
   }
+  if (s.full) return;
+  s.send_off.resize(nodes + 1);
+  s.recv_off.resize(nodes + 1);
+  s.send_idx.clear();
+  s.recv.clear();
+  for (NodeId n = 0; n < nodes; ++n) {
+    s.send_off[n] = static_cast<std::uint32_t>(s.send_idx.size());
+    s.recv_off[n] = static_cast<std::uint32_t>(s.recv.size());
+    const std::span<const NodeId> peers = proc.peers(n);
+    for (std::uint32_t i = 0; i < peers.size(); ++i) {
+      if (proc.can_transmit(peers[i], n)) s.send_idx.push_back(i);
+      if (proc.can_transmit(n, peers[i])) s.recv.push_back(peers[i]);
+    }
+  }
+  s.send_off[nodes] = static_cast<std::uint32_t>(s.send_idx.size());
+  s.recv_off[nodes] = static_cast<std::uint32_t>(s.recv.size());
 }
 
 void Explorer::collect_updates(std::size_t task_idx, NodeId n) {
@@ -482,7 +522,7 @@ void Explorer::collect_updates(std::size_t task_idx, NodeId n) {
   const RouteId base = invalid ? kNoRoute : cur;
   const std::span<const NodeId> peers = proc.peers(n);
   cands_scratch_.clear();
-  for (std::size_t i = 0; i < peers.size(); ++i) {
+  for (const std::uint32_t i : senders(task_idx, n)) {
     const RouteId a = adv(proc, task_idx, n, i, peers[i]);
     if (a != kNoRoute && proc.compare(n, a, base, ctx_) > 0) {
       cands_scratch_.emplace_back(a, peers[i]);

@@ -286,6 +286,23 @@ class Explorer final : public SearchModel {
   // per-node status maintenance
   void refresh_node(std::size_t task_idx, NodeId n);
   void refresh_around(std::size_t task_idx, NodeId n);
+  /// Rebuilds scope_[task_idx] from the prepared process (once per failure
+  /// set and upstream outcome, next to the AdCache binding).
+  void bind_scope(std::size_t task_idx);
+  /// Indices into peers(n) of the peers that can transmit to `n`.
+  [[nodiscard]] std::span<const std::uint32_t> senders(std::size_t task_idx,
+                                                       NodeId n) const {
+    const RefreshScope& s = scope_[task_idx];
+    if (s.full) return {peer_iota_.data(), tasks_[task_idx].process->peers(n).size()};
+    return {s.send_idx.data() + s.send_off[n], s.send_idx.data() + s.send_off[n + 1]};
+  }
+  /// Peers of `n` that `n` can transmit to.
+  [[nodiscard]] std::span<const NodeId> receivers(std::size_t task_idx,
+                                                  NodeId n) const {
+    const RefreshScope& s = scope_[task_idx];
+    if (s.full) return tasks_[task_idx].process->peers(n);
+    return {s.recv.data() + s.recv_off[n], s.recv.data() + s.recv_off[n + 1]};
+  }
   void collect_updates(std::size_t task_idx, NodeId n);
   [[nodiscard]] bool influence_allows(std::size_t task_idx, NodeId n) const;
   void compute_influencers(std::size_t task_idx);
@@ -335,6 +352,22 @@ class Explorer final : public SearchModel {
   StampSet influencer_;                             ///< per node, current task
   bool influence_active_ = false;                   ///< §4.2 influence pruning usable
   bool early_stop_ok_ = false;                      ///< §4.2 source early-stop usable
+
+  /// Refresh scope (docs/architecture.md "Refresh scope"): the live session
+  /// edges that can carry a route, by RoutingProcess::can_transmit. A move at
+  /// n refreshes only n's receivers, and a refresh of n reads only n's
+  /// senders; every skipped edge advertises ⊥ by that contract. CSR layout
+  /// per task, buffers reused across rebuilds; a scope holding every live
+  /// edge (OSPF) keeps no lists and reads peers() directly.
+  struct RefreshScope {
+    bool full = true;                     ///< every live edge is in scope
+    std::vector<std::uint32_t> send_off;  ///< [node] -> first sender, [n] = end
+    std::vector<std::uint32_t> send_idx;  ///< sender's index in peers(node)
+    std::vector<std::uint32_t> recv_off;  ///< [node] -> first receiver, [n] = end
+    std::vector<NodeId> recv;             ///< receivers, in peers(node) order
+  };
+  std::vector<RefreshScope> scope_;                 ///< [task]
+  std::vector<std::uint32_t> peer_iota_;            ///< 0, 1, 2, ...: full senders
 
   AdCache ad_cache_;                                ///< advertised() memo
   bool ad_cache_on_ = false;                        ///< opts_.ad_cache && cacheable

@@ -27,6 +27,9 @@ class OutcomeStore::Composite final : public UpstreamResolver {
       h = hash_combine(h, hash_combine(pec, out->hash));
     }
     hash_ = h;
+    // Sorted after hashing, so the identity keeps the dependency order.
+    std::sort(picks_.begin(), picks_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
   [[nodiscard]] std::uint32_t igp_cost(NodeId from, IpAddr target) const override {
@@ -49,14 +52,14 @@ class OutcomeStore::Composite final : public UpstreamResolver {
  private:
   [[nodiscard]] const PecOutcome* outcome_for(IpAddr target) const {
     const PecId pec = store_.pecs_.find(target);
-    for (const auto& [id, out] : picks_) {
-      if (id == pec) return out;
-    }
-    return nullptr;
+    const auto it = std::lower_bound(
+        picks_.begin(), picks_.end(), pec,
+        [](const auto& pick, PecId id) { return pick.first < id; });
+    return it != picks_.end() && it->first == pec ? it->second : nullptr;
   }
 
   const OutcomeStore& store_;
-  std::vector<std::pair<PecId, const PecOutcome*>> picks_;
+  std::vector<std::pair<PecId, const PecOutcome*>> picks_;  ///< sorted by PecId
   std::uint64_t hash_ = 0;
 };
 

@@ -18,11 +18,12 @@ bool VerdictCache::lookup(const CacheKey& key, CacheEntry& out) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (!it->second.clean_hold()) {
+  if (!it->second.entry.clean_hold()) {
     nonclean_bypass_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  out = it->second;
+  out = it->second.entry;
+  it->second.referenced = true;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -33,10 +34,29 @@ bool VerdictCache::contains(const CacheKey& key) const {
   return s.map.find(key) != s.map.end();
 }
 
+void VerdictCache::Stripe::put(const CacheKey& key, const CacheEntry& entry) {
+  if (const auto it = map.find(key); it != map.end()) {
+    it->second.entry = entry;
+    return;
+  }
+  Map::value_type* node = &*map.emplace(key, Stored{entry, false}).first;
+  if (ring.size() < kStripeCapacity) {
+    ring.push_back(node);
+    return;
+  }
+  while (ring[hand]->second.referenced) {
+    ring[hand]->second.referenced = false;
+    hand = (hand + 1) % kStripeCapacity;
+  }
+  map.erase(ring[hand]->first);
+  ring[hand] = node;
+  hand = (hand + 1) % kStripeCapacity;
+}
+
 void VerdictCache::insert(const CacheKey& key, const CacheEntry& entry) {
   Stripe& s = stripe_of(key);
   std::lock_guard<std::mutex> lock(s.mu);
-  s.map[key] = entry;
+  s.put(key, entry);
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -44,6 +64,8 @@ void VerdictCache::clear() {
   for (Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);
     s.map.clear();
+    s.ring.clear();
+    s.hand = 0;
   }
 }
 
@@ -121,8 +143,8 @@ bool VerdictCache::save(const std::string& path, std::string& error) const {
   put_int(blob, count);
   for (const Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& [key, entry] : s.map) {
-      put_entry(blob, key, entry);
+    for (const auto& [key, stored] : s.map) {
+      put_entry(blob, key, stored.entry);
       ++count;
     }
   }
@@ -202,7 +224,7 @@ bool VerdictCache::load(const std::string& path, std::string& error) {
   for (const auto& [key, e] : loaded) {
     Stripe& s = stripe_of(key);
     std::lock_guard<std::mutex> lock(s.mu);
-    s.map[key] = e;
+    s.put(key, e);
   }
   warm_loaded_.fetch_add(count, std::memory_order_relaxed);
   return true;

@@ -23,6 +23,13 @@
 // finds one reports a miss (counted as nonclean_bypass) — those PECs always
 // re-verify, per the cache-never-masks-a-violation contract.
 //
+// Bounded: each stripe holds at most kStripeCapacity entries. An insert
+// into a full stripe evicts by second chance (clock): the hand clears the
+// reference bit of each recently hit slot it passes and evicts the first
+// slot whose bit is already clear. A hit sets the bit under the stripe lock
+// the lookup already holds. Eviction is safe for the same reason
+// invalidation is: a missing entry is a miss, and a miss re-verifies.
+//
 // Disk format ("PKC1", versioned like the PKS1 frame header): little-endian
 // magic u32, version u16, reserved u16, entry count u64, then fixed-width
 // entries. load() validates everything and refuses the whole file on any
@@ -36,6 +43,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "checker/budget.hpp"
 #include "netbase/hash.hpp"
@@ -92,6 +100,7 @@ class VerdictCache {
   /// deliberately not usable to skip verification).
   [[nodiscard]] bool contains(const CacheKey& key) const;
 
+  /// Inserts or overwrites; into a full stripe, evicts one entry first.
   void insert(const CacheKey& key, const CacheEntry& entry);
   void clear();
 
@@ -99,9 +108,10 @@ class VerdictCache {
   [[nodiscard]] CacheCounters counters() const;
 
   /// Whole-cache snapshot to/from disk. save() writes atomically
-  /// (tmp + rename). load() replaces the cache contents on success; on a
-  /// missing, truncated, or corrupt file it returns false, fills `error`,
-  /// and leaves the cache unchanged.
+  /// (tmp + rename). load() replaces the cache contents on success, through
+  /// the same capped insert path (a larger file is evicted down to the cap);
+  /// on a missing, truncated, or corrupt file it returns false, fills
+  /// `error`, and leaves the cache unchanged.
   bool save(const std::string& path, std::string& error) const;
   bool load(const std::string& path, std::string& error);
 
@@ -111,11 +121,27 @@ class VerdictCache {
   /// canon values) is refused — a cold start, never a misread hit.
   static constexpr std::uint16_t kCacheVersion = 2;
 
- private:
   static constexpr std::size_t kStripes = 16;
+  static constexpr std::size_t kStripeCapacity = 2048;
+  /// Upper bound on size().
+  static constexpr std::size_t kCapacity = kStripes * kStripeCapacity;
+
+ private:
+  struct Stored {
+    CacheEntry entry;
+    bool referenced = false;  ///< hit since the clock hand last passed
+  };
+  using Map = std::unordered_map<CacheKey, Stored, CacheKeyHash>;
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> map;
+    Map map;
+    /// Clock ring over the map's nodes (their addresses are stable); grows
+    /// to kStripeCapacity, then each insert recycles the slot it evicts.
+    std::vector<Map::value_type*> ring;
+    std::size_t hand = 0;
+
+    /// insert() body; the caller holds `mu`.
+    void put(const CacheKey& key, const CacheEntry& entry);
   };
 
   Stripe& stripe_of(const CacheKey& key) {

@@ -330,6 +330,37 @@ TEST(VerdictCache, RejectsVersionOneFiles) {
   std::remove(path.c_str());
 }
 
+TEST(VerdictCache, ClockEvictionBoundsSizeAndKeepsHitKeys) {
+  VerdictCache cache;
+  const CacheKey hot{0xabcdef, 0x123456};
+  const CacheKey cold{0xc01d, 0xc01d};
+  cache.insert(hot, entry_of(Verdict::kHolds, 7));
+  cache.insert(cold, entry_of(Verdict::kHolds, 8));
+  CacheEntry out;
+  // 10x the capacity: every stripe fills and its clock hand laps many times.
+  // The hot key is hit between inserts, so its reference bit is set again
+  // before the hand comes back round to it.
+  for (std::uint64_t i = 1; i <= 10 * VerdictCache::kCapacity; ++i) {
+    cache.insert(CacheKey{i, i * 0x9e3779b97f4a7c15ull}, entry_of(Verdict::kHolds, i));
+    ASSERT_TRUE(cache.lookup(hot, out)) << "hit key evicted after " << i << " inserts";
+    ASSERT_LE(cache.size(), VerdictCache::kCapacity);
+  }
+  EXPECT_EQ(out, entry_of(Verdict::kHolds, 7));
+  EXPECT_FALSE(cache.contains(cold)) << "an unreferenced key must be evicted";
+  EXPECT_GT(cache.size(), VerdictCache::kCapacity / 2);
+
+  // The PKC1 round trip stays within the cap and keeps the hot key.
+  const std::string path = tmp_path("cache_evicted.pkc");
+  std::string error;
+  ASSERT_TRUE(cache.save(path, error)) << error;
+  VerdictCache restored;
+  ASSERT_TRUE(restored.load(path, error)) << error;
+  EXPECT_EQ(restored.size(), cache.size());
+  EXPECT_LE(restored.size(), VerdictCache::kCapacity);
+  EXPECT_TRUE(restored.lookup(hot, out));
+  std::remove(path.c_str());
+}
+
 TEST(VerdictCache, ConcurrentHammerKeepsCountsCoherent) {
   VerdictCache cache;
   constexpr int kThreads = 4;

@@ -35,9 +35,9 @@ enum class ShardTransportKind : std::uint8_t {
 struct VerifyOptions {
   ExploreOptions explore;
   int cores = 1;                             ///< worker threads for PEC runs
-  /// Parallel strategy for the SCC task graph; kFixedPool is the baseline
-  /// single-ready-list pool kept for comparison; kMultiProcess shards the
-  /// graph across forked worker processes (implied by shards > 0).
+  /// Where the SCC task graph runs: the in-process work-stealing scheduler,
+  /// or kMultiProcess, which shards the graph across forked worker
+  /// processes (implied by shards > 0).
   sched::SchedulerKind scheduler = sched::SchedulerKind::kWorkStealing;
   /// Worker *processes* for the multi-process shard coordinator
   /// (sched/shard.hpp). 0 = in-process scheduling (the default); N >= 1
@@ -85,18 +85,6 @@ struct VerifyOptions {
   ShardTransportKind shard_transport = ShardTransportKind::kFork;
   std::vector<std::string> shard_workers;
   int shard_connect_timeout_ms = 5000;
-
-  /// Intra-PEC work export: workers on export-eligible tasks (single PEC, no
-  /// deps/dependents/class members, max_failures == 0, a frontier engine)
-  /// periodically split half their pending frontier back to the coordinator
-  /// for re-dispatch to idle workers as dynamic subtasks. Verdicts and the
-  /// deduplicated violation set are preserved; state counts are not
-  /// bit-identical (subtasks re-visit states the donor also reaches), which
-  /// is why this is off by default.
-  bool shard_split_export = false;
-  std::uint32_t shard_export_check_every = 2048;  ///< offer cadence (pops)
-  std::size_t shard_export_min_frontier = 16;     ///< don't split tiny frontiers
-  int shard_export_max_per_pec = 64;              ///< coordinator arming cap
 };
 
 struct PecReport {

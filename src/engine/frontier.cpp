@@ -90,60 +90,6 @@ std::int32_t Frontier::pop() {
   return kRoot;  // unreachable
 }
 
-void Frontier::path_to(std::int32_t id, std::vector<SearchMove>& out) const {
-  out.clear();
-  for (std::int32_t n = id; n != kRoot; n = arena_[static_cast<std::size_t>(n)].parent) {
-    out.push_back(arena_[static_cast<std::size_t>(n)].move);
-  }
-  std::reverse(out.begin(), out.end());
-}
-
-std::size_t Frontier::split(std::vector<StateSnapshot>& out) {
-  const std::size_t take = live_ / 2;
-  if (take == 0) return 0;
-  // Detach the most recently discovered end (for kFifo the back of the
-  // queue, i.e. the states a thief would steal; for the others an arbitrary
-  // but deterministic half — ordering across a split is not part of any
-  // engine's contract).
-  for (std::size_t i = 0; i < take; ++i) {
-    const Entry e = pending_.back();
-    pending_.pop_back();
-    StateSnapshot snap;
-    snap.key = e.key;
-    path_to(e.id, snap.path);
-    if (sleep_words_ != 0 && e.id != kRoot) {
-      // Detached work inherits its DPOR sleep mask (ISSUE: spawned subtasks
-      // must keep pruning what the donor's path already covered).
-      const std::uint64_t* m = sleep_slot(e.id);
-      snap.sleep.assign(m, m + sleep_words_);
-    }
-    out.push_back(std::move(snap));
-  }
-  if (order_ == FrontierOrder::kPriority) {
-    std::make_heap(pending_.begin(), pending_.end(), heap_after);
-  }
-  live_ -= take;
-  return take;
-}
-
-void Frontier::inject(const StateSnapshot& snap) {
-  // Rebuild the snapshot's path as a fresh arena chain from the root. The
-  // interior nodes are not pending — only the endpoint is re-admitted.
-  std::int32_t at = kRoot;
-  for (std::size_t i = 0; i < snap.path.size(); ++i) {
-    PathNode node;
-    node.parent = at;
-    node.depth = depth(at) + 1;
-    node.move = snap.path[i];
-    at = static_cast<std::int32_t>(arena_.size());
-    arena_.push_back(node);
-  }
-  if (sleep_words_ != 0 && at != kRoot && !snap.sleep.empty()) {
-    std::copy(snap.sleep.begin(), snap.sleep.end(), sleep_slot(at));
-  }
-  add_entry(Entry{at, snap.key, depth(at), next_seq_++});
-}
-
 std::uint32_t luby_value(std::uint32_t i) {
   // u_i = 2^(k-1) when i == 2^k - 1; else u_{i - 2^(k-1) + 1} for the k
   // with 2^(k-1) <= i < 2^k - 1 (Luby, Sinclair & Zuckerman 1993).

@@ -5,21 +5,16 @@
 // engines (BFS, priority over StateCodec keys, seeded random-restart) instead
 // keep a set of *pending* states and jump between them in an order of their
 // own choosing. Because the SearchModel mutates one state in place, a pending
-// state is represented as a StateSnapshot: the move path from the phase-entry
-// root. Restoring snapshot B from snapshot A undoes A's path back to the
-// lowest common ancestor and replays B's suffix — every undo still reverts
-// the most recently applied move, so the model's incremental dirty-set
-// bookkeeping (engine/active_set.hpp) stays valid throughout.
+// state is represented as its move path from the phase-entry root. Restoring
+// pending state B from state A undoes A's path back to the lowest common
+// ancestor and replays B's suffix — every undo still reverts the most
+// recently applied move, so the model's incremental dirty-set bookkeeping
+// (engine/active_set.hpp) stays valid throughout.
 //
 // Paths are stored structurally shared: the Frontier owns an arena of
 // (parent, move) nodes, so a frontier of W states at depth D costs O(W + E)
 // nodes (E = tree edges discovered), not O(W × D) moves.
-//
-// split() detaches roughly half of the pending states as self-contained
-// snapshots and inject() accepts them back — the work-sharing hook that makes
-// intra-PEC exploration splittable (the scheduler side is
-// sched::TaskContext::spawn; see docs/architecture.md "Exploration
-// strategies").
+
 #pragma once
 
 #include <cstdint>
@@ -29,10 +24,6 @@
 #include "engine/search.hpp"
 
 namespace plankton {
-
-// StateSnapshot itself lives in engine/search.hpp: work-export plumbing
-// (SearchEngineConfig::export_fn, the shard wire codecs) needs the type
-// without pulling in the full Frontier.
 
 /// Pending-state ordering policy of a frontier engine.
 enum class FrontierOrder : std::uint8_t {
@@ -76,7 +67,7 @@ class Frontier {
     sleep_pool_.clear();
   }
 
-  /// Opts the arena into per-snapshot DPOR sleep masks of `words` 64-bit
+  /// Opts the arena into per-node DPOR sleep masks of `words` 64-bit
   /// words (call after reset(); 0 disables). sleep_slot() then hands out
   /// writable storage per pushed node.
   void enable_sleep(std::size_t words) { sleep_words_ = words; }
@@ -103,18 +94,6 @@ class Frontier {
   /// Removes and returns the next pending arena id per the ordering policy.
   /// Precondition: !empty().
   std::int32_t pop();
-
-  /// Moves roughly half of the pending states (the most recently discovered
-  /// end) into `out` as self-contained snapshots, removing them from this
-  /// frontier. Returns how many snapshots were moved.
-  std::size_t split(std::vector<StateSnapshot>& out);
-
-  /// Re-admits a split-off snapshot as a pending state rooted at kRoot.
-  void inject(const StateSnapshot& snap);
-
-  /// The move path from the root to arena node `id` (empty for kRoot), in
-  /// application order.
-  void path_to(std::int32_t id, std::vector<SearchMove>& out) const;
 
   // -- restore plumbing (used by the frontier engine) ------------------------
   [[nodiscard]] std::int32_t parent(std::int32_t id) const {

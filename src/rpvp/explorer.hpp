@@ -117,23 +117,9 @@ struct ExploreOptions {
   /// Seeds kRandomRestart's pop order; a failing fuzz instance reproduces
   /// from (topology seed, engine seed) alone.
   std::uint64_t engine_seed = 1;
-  /// Frontier work-sharing exercise knob (SearchEngineConfig::split_every).
-  std::uint32_t engine_split_every = 0;
   /// kRandomRestart restart schedule: Luby by default, kFixedPeriod keeps
   /// the original every-N-pops behavior.
   RestartPolicy engine_restart_policy = RestartPolicy::kLuby;
-
-  // Intra-PEC work export (SearchEngineConfig's export block; the sink is
-  // bound by the shard worker — see sched::ShardExportHooks). Only sound
-  // for single-phase explorations: the verifier arms these exclusively when
-  // max_failures == 0 and the PEC has no upstream choice, so the outermost
-  // engine invocation is the entire search.
-  std::function<bool(std::vector<StateSnapshot>&&)> engine_export_fn;
-  std::uint32_t engine_export_check_every = 0;  ///< 0 disables export offers
-  std::size_t engine_export_min_frontier = 8;
-  /// Receiving side of an export: seed the outermost frontier from these
-  /// snapshots instead of the phase root.
-  std::vector<StateSnapshot> engine_seed_frontier;
 
   [[nodiscard]] SearchEngineKind engine() const {
     return simulation ? SearchEngineKind::kSingleExecution : engine_kind;
@@ -142,12 +128,7 @@ struct ExploreOptions {
   [[nodiscard]] SearchEngineConfig engine_config() const {
     SearchEngineConfig c;
     c.seed = engine_seed;
-    c.split_every = engine_split_every;
     c.restart_policy = engine_restart_policy;
-    c.export_fn = engine_export_fn;
-    c.export_check_every = engine_export_check_every;
-    c.export_min_frontier = engine_export_min_frontier;
-    c.seed_frontier = engine_seed_frontier;
     return c;
   }
 
@@ -260,8 +241,6 @@ class Explorer final : public SearchModel {
                                               const SearchMove& m) const override {
     return codec_.preview_key(task_idx, m.node, rib_[task_idx][m.node], m.route);
   }
-  void export_snapshot(StateSnapshot& s) override;
-  [[nodiscard]] bool import_snapshot(StateSnapshot& s) override;
   [[nodiscard]] std::size_t por_words() const override;
   void por_attach_sleep(const std::uint64_t* sleep) override;
   void por_child_sleep(std::size_t task_idx, const SearchMove& m,
@@ -376,7 +355,7 @@ class Explorer final : public SearchModel {
   // docs/architecture.md "Partial-order reduction". kDfs mode runs the full
   // reduction (sleep sets, source-set lazy sibling emission with race-driven
   // backtracking, subtree summaries); frontier mode runs sleep sets only,
-  // with masks stored per pending snapshot by the engine.
+  // with masks stored per pending state by the engine.
   enum class PorMode : std::uint8_t { kOff, kDfs, kFrontierSleep };
   PorMode por_mode_ = PorMode::kOff;
   std::size_t sleep_words_ = 0;               ///< ceil(nodes / 64)

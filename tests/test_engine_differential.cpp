@@ -6,7 +6,7 @@
 // random_net.hpp: rings, fat-trees, random OSPF/BGP graphs, protocol+static
 // mixes, with failure budgets) and checks, per instance:
 //
-//   · kDfs, kBfs, kBfs+split, kPriority, and kRandomRestart (two seeds)
+//   · kDfs, kBfs, kPriority, and kRandomRestart (two seeds)
 //     produce identical verdicts, violation multisets, and state-count
 //     invariants (states stored, converged states, failure sets, policy
 //     checks) — the frontier engines reorder the search, never change it;
@@ -49,17 +49,16 @@ struct EngineSetup {
   std::string label;
   SearchEngineKind kind = SearchEngineKind::kDfs;
   std::uint64_t seed = 1;
-  std::uint32_t split_every = 0;
 };
 
 std::vector<EngineSetup> exhaustive_matrix(std::uint64_t instance_seed) {
   return {
-      {"dfs", SearchEngineKind::kDfs, 1, 0},
-      {"bfs", SearchEngineKind::kBfs, 1, 0},
-      {"bfs+split", SearchEngineKind::kBfs, 1, 2},
-      {"priority", SearchEngineKind::kPriority, 1, 0},
-      {"random-restart/a", SearchEngineKind::kRandomRestart, instance_seed, 0},
-      {"random-restart/b", SearchEngineKind::kRandomRestart, instance_seed + 7777, 0},
+      {"dfs", SearchEngineKind::kDfs, 1},
+      {"bfs", SearchEngineKind::kBfs, 1},
+      {"priority", SearchEngineKind::kPriority, 1},
+      {"random-restart/a", SearchEngineKind::kRandomRestart, instance_seed},
+      {"random-restart/b", SearchEngineKind::kRandomRestart,
+       instance_seed + 7777},
   };
 }
 
@@ -112,7 +111,6 @@ Fingerprint fingerprint(const RandomInstance& inst, const EngineSetup& es,
     vo.explore.engine_kind = es.kind;
   }
   vo.explore.engine_seed = es.seed;
-  vo.explore.engine_split_every = es.split_every;
   Verifier verifier(inst.net, vo);
   const VerifyResult r = verifier.verify(*inst.policy);
   if (por_pruned != nullptr) *por_pruned += r.total.por_pruned;
@@ -153,10 +151,7 @@ TEST(EngineDifferential, ExhaustiveEnginesAgreeOnRandomInstances) {
       EXPECT_EQ(fp, ref) << "engine " << es.label << " diverged from dfs";
       // Widening telemetry, free from the matrix run: did any frontier ever
       // hold more than one pending state on this instance?
-      if (es.kind == SearchEngineKind::kBfs && es.split_every == 0 &&
-          fp.frontier_peak > 1) {
-        ++widened;
-      }
+      if (es.kind == SearchEngineKind::kBfs && fp.frontier_peak > 1) ++widened;
     }
   }
   // The corpus must include genuinely non-deterministic searches, otherwise
@@ -178,9 +173,9 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
   const int count = instance_count();
   std::uint64_t pruned = 0;
   const std::vector<EngineSetup> engines = {
-      {"dfs", SearchEngineKind::kDfs, 1, 0},
-      {"bfs", SearchEngineKind::kBfs, 1, 0},
-      {"random-restart", SearchEngineKind::kRandomRestart, 42, 0},
+      {"dfs", SearchEngineKind::kDfs, 1},
+      {"bfs", SearchEngineKind::kBfs, 1},
+      {"random-restart", SearchEngineKind::kRandomRestart, 42},
   };
   for (int seed = 1; seed <= count; ++seed) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
@@ -204,9 +199,9 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
     // counts at order-dependent cut states); the first-violation arm keeps
     // the reduction active there, so the corpus also exercises that regime.
     const Fingerprint off1 =
-        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, false, false);
+        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1}, false, false);
     const Fingerprint on1 = fingerprint(
-        inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, true, false, &pruned);
+        inst, {"dfs", SearchEngineKind::kDfs, 1}, true, false, &pruned);
     EXPECT_EQ(on1.holds, off1.holds) << "por changed the first-violation verdict";
   }
   // The reduction must actually fire across the corpus, or the oracle above
@@ -284,9 +279,9 @@ TEST(EngineDifferential, SingleExecutionIsSoundOnRandomInstances) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind + ")");
     const Fingerprint full =
-        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0});
+        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1});
     const Fingerprint sim =
-        fingerprint(inst, {"single", SearchEngineKind::kSingleExecution, 1, 0});
+        fingerprint(inst, {"single", SearchEngineKind::kSingleExecution, 1});
     // Simulation follows one execution per root: it can never check more
     // converged states than the exhaustive engine, and every violation it
     // reports must be one the exhaustive engine also found.
@@ -381,7 +376,6 @@ TEST(EngineDifferential, AllEnginesMatchSpvpOracleOnPureBgp) {
       opts.suppress_equivalent = false;
       opts.engine_kind = es.kind;
       opts.engine_seed = es.seed;
-      opts.engine_split_every = es.split_every;
       const CollectorPolicy collector;
       Explorer ex(inst.net, pec, make_tasks(inst.net, pec), collector, opts);
       const ExploreResult r = ex.run();

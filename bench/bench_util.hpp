@@ -144,10 +144,12 @@ inline void emit(const char* bench, const std::string& row, double time_ms,
 /// Guards a timed row against accidental resource-governance budgets
 /// (VerifyOptions::budget, checker/budget.hpp): a tripped budget stops the
 /// exploration early, and a silently-truncated row would enter the committed
-/// trajectory as a fake speedup. Figure-intrinsic caps (wall_limit timeout
-/// bars, the fig9 state caps) are part of a row's definition and stay
-/// allowed. Deliberately budgeted rows must label themselves and skip this
-/// guard (the perf_smoke "budgeted" rows).
+/// trajectory as a fake speedup. Figure-intrinsic caps (the fig8/fig7g
+/// deadlines behind the TIMEOUT bars, the fig9/engine-matrix/perf_smoke
+/// state caps) are part of a row's definition: such a row calls this guard
+/// first and sets its one cap on the budget afterwards. Deliberately budgeted
+/// rows must label themselves and skip this guard (the perf_smoke
+/// "budget-*" rows).
 template <typename VerifyOptionsT>
 inline const VerifyOptionsT& assert_unbudgeted(const VerifyOptionsT& vo) {
   if (vo.budget.any()) {

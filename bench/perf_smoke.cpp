@@ -114,9 +114,12 @@ int main(int argc, char** argv) {
       vo.cores = 1;
       vo.explore.det_nodes_bgp = false;
       vo.explore.suppress_equivalent = false;
-      vo.explore.max_states = 200000;
       apply_mode(vo, optimized);
-      Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
+      // The row's 200,000-state cap, set after the guard (see
+      // assert_unbudgeted).
+      bench::assert_unbudgeted(vo);
+      vo.budget.max_states = 200000;
+      Verifier verifier(ft.net, vo);
       const VerifyResult r =
           verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
       row(std::string("bgp_dc_worstcase/K=4") + mode_tag(optimized), r);

@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--shards" && i + 1 < argc) {
         opts.shards = std::atoi(argv[++i]);
         if (opts.shards < 1) throw std::runtime_error("bad --shards");
-        opts.scheduler = sched::SchedulerKind::kMultiProcess;
       } else if (arg == "--address" && i + 1 < argc) {
         address = IpAddr::parse(argv[++i]);
         if (!address) throw std::runtime_error("bad --address");
@@ -250,8 +249,7 @@ int main(int argc, char** argv) {
     } else if (result.verdict == Verdict::kInconclusive) {
       verdict_text = "INCONCLUSIVE";
     }
-    std::printf("policy %s: %s%s\n", policy->name().c_str(), verdict_text,
-                result.timed_out ? " (incomplete: timed out)" : "");
+    std::printf("policy %s: %s\n", policy->name().c_str(), verdict_text);
     std::printf("PECs verified: %zu (+%zu support), converged states: %llu, "
                 "wall: %.2f ms, model memory: %.2f MB\n",
                 result.pecs_verified, result.pecs_support,

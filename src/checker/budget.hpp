@@ -9,10 +9,17 @@
 // together with which budget tripped and how far exploration got (the
 // SearchStats). Exhaustion is never reported as a hold.
 //
-// Budgets thread through VerifyOptions -> Verifier -> ExploreOptions ->
-// Explorer::budget_exhausted. The Verifier derives per-PEC deadlines from the
-// global one (a fair share of the remaining time over the remaining PECs),
-// so a monster PEC trips its own slice instead of starving the rest.
+// A ResourceBudget is the one way to bound a run: VerifyOptions::budget is
+// the whole-run budget, and the Verifier hands each PEC exploration its own
+// copy in ExploreOptions::budget, which Explorer::budget_exhausted reads
+// directly. The state and memory caps apply per PEC as given; the deadline is
+// replaced by a per-PEC slice (a fair share of the remaining time over the
+// remaining PECs), so a monster PEC trips its own slice instead of starving
+// the rest.
+//
+// One verdict rule: a PEC's verdict derives from (violations, the budget axis
+// that tripped, exhaustive) alone — ExploreResult::verdict() — and the run's
+// verdict folds the per-PEC ones in the Verifier's finalize step.
 #pragma once
 
 #include <chrono>

@@ -221,8 +221,6 @@ class ShardExecution {
         policy_(policy),
         plan_(plan),
         cross_deps_(deps.has_cross_pec_deps()),
-        has_wall_limit_(opts.wall_limit.count() > 0),
-        wall_deadline_(start + opts.wall_limit),
         has_budget_deadline_(opts.budget.deadline.count() > 0),
         budget_deadline_(start + opts.budget.deadline) {
     // Budget deadline fair-sharing: the global deadline is split into
@@ -259,20 +257,9 @@ class ShardExecution {
       PecReport rep;
       rep.pec = pec_id;
       rep.pec_str = pec.str();
-      rep.result.timed_out = true;
       rep.result.budget_tripped = BudgetKind::kDeadline;
       return rep;
     };
-    if (has_wall_limit_) {
-      const auto now = std::chrono::steady_clock::now();
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(wall_deadline_ -
-                                                                now);
-      if (remaining.count() <= 0) return deadline_exhausted();
-      if (eo.time_limit.count() == 0 || remaining < eo.time_limit) {
-        eo.time_limit = remaining;
-      }
-    }
     if (has_budget_deadline_) {
       const std::size_t started =
           pecs_started.fetch_add(1, std::memory_order_relaxed);
@@ -297,12 +284,12 @@ class ShardExecution {
   }
 
   /// Class tail of a finished representative run (every execution path calls
-  /// this right after run_pec_core on a representative). A clean hold
-  /// transfers to every member — the validated isomorphism guarantees the
-  /// members' exploration state graphs are isomorphic to the
-  /// representative's. Any non-clean result (violation, timeout, state cap)
-  /// re-explores the members natively so that reported trails are the
-  /// members' own, bit-identical to a dedup-off run; under early stop a
+  /// this right after run_pec_core on a representative). A hold (verdict()
+  /// == kHolds) transfers to every member — the validated isomorphism
+  /// guarantees the members' exploration state graphs are isomorphic to the
+  /// representative's. Any other verdict (violation, tripped budget, lossy
+  /// coverage) re-explores the members natively so that reported trails are
+  /// the members' own, bit-identical to a dedup-off run; under early stop a
   /// violated representative already decides the verdict and the members are
   /// skipped like any other unscheduled task. `rerun` dispatches one
   /// member's native re-exploration: the sharded worker runs it inline, the
@@ -313,24 +300,21 @@ class ShardExecution {
     if (!plan_.dedup_on) return;
     const auto& members = plan_.classes.members_of[rep.pec];
     if (members.empty()) return;
-    const bool clean = rep.result.holds && !rep.result.timed_out &&
-                       !rep.result.state_limit_hit &&
-                       !rep.result.memory_limit_hit &&
-                       rep.result.budget_tripped == BudgetKind::kNone &&
-                       rep.result.exhaustive && rep.result.violations.empty();
-    if (clean) {
+    const Verdict verdict = rep.result.verdict();
+    if (verdict == Verdict::kHolds) {
       for (const PecId m : members) {
         PecReport t;
         t.pec = m;
         t.pec_str = pecs_.pecs[m].str();
         t.translated_from = rep.pec;
-        t.result.holds = true;
         t.result.stats = rep.result.stats;
         emit(std::move(t));
       }
       return;
     }
-    if (!rep.result.holds && !opts_.explore.find_all_violations) return;
+    if (verdict == Verdict::kViolated && !opts_.explore.find_all_violations) {
+      return;
+    }
     for (const PecId m : members) {
       dedup_reruns.fetch_add(1, std::memory_order_relaxed);
       // Reruns are scheduled work the static count never saw; register them
@@ -390,10 +374,6 @@ class ShardExecution {
                               std::vector<sched::ShardPecResult>& out) {
     sched::ShardPecResult r;
     r.pec = pr.pec;
-    r.holds = pr.result.holds;
-    r.timed_out = pr.result.timed_out;
-    r.state_limit_hit = pr.result.state_limit_hit;
-    r.memory_limit_hit = pr.result.memory_limit_hit;
     r.budget_tripped = pr.result.budget_tripped;
     r.exhaustive = pr.result.exhaustive;
     r.stats = pr.result.stats;
@@ -418,8 +398,6 @@ class ShardExecution {
   const ShardPlan& plan_;
   TruePolicy true_policy_;
   const bool cross_deps_;
-  const bool has_wall_limit_;
-  const std::chrono::steady_clock::time_point wall_deadline_;
   const bool has_budget_deadline_;
   const std::chrono::steady_clock::time_point budget_deadline_;
 };
@@ -490,15 +468,17 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     // Translated reports repeat their representative's stats; the aggregate
     // counts only exploration that actually happened.
     if (rep.translated_from == kNoPec) result.total.absorb(rep.result.stats);
-    if (rep.result.timed_out) result.timed_out = true;
-    if (!rep.result.holds) result.holds = false;
+    const Verdict verdict = rep.result.verdict();
+    if (verdict == Verdict::kViolated) result.verdict = Verdict::kViolated;
     if (rep.result.budget_tripped != BudgetKind::kNone &&
         result.budget_tripped == BudgetKind::kNone) {
       result.budget_tripped = rep.result.budget_tripped;
     }
     if (!rep.result.exhaustive) result.exhaustive = false;
-    if (rep.translated_from == kNoPec &&
-        rep.result.verdict() == Verdict::kInconclusive) {
+    // Ended by a budget, not merely lossy: a complete probabilistic run is
+    // inconclusive too, but it is not counted here.
+    if (rep.translated_from == kNoPec && verdict == Verdict::kInconclusive &&
+        rep.result.budget_tripped != BudgetKind::kNone) {
       ++result.pecs_inconclusive;
     }
     if (is_target[rep.pec] != 0) {
@@ -509,21 +489,16 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     }
   };
 
-  // Verdict taxonomy (checker/budget.hpp): a violation is sound even from a
-  // partial search, so it always wins; any exhaustion or lossy search mode
-  // degrades a would-be hold to kInconclusive — never to a spurious kHolds.
+  // The run verdict over the merged per-PEC ones (checker/budget.hpp): a
+  // violation is sound even from a partial search, so merge_report's
+  // kViolated always wins; any exhausted budget or lossy coverage degrades a
+  // would-be hold to kInconclusive — never to a spurious kHolds.
   auto finalize_verdict = [&]() {
-    if (!result.holds) {
-      result.verdict = Verdict::kViolated;
-    } else if (result.timed_out ||
-               result.budget_tripped != BudgetKind::kNone ||
-               result.pecs_inconclusive > 0 || !result.exhaustive) {
-      result.verdict = Verdict::kInconclusive;
-      if (result.budget_tripped == BudgetKind::kNone && result.timed_out) {
-        result.budget_tripped = BudgetKind::kDeadline;
-      }
-    } else {
-      result.verdict = Verdict::kHolds;
+    if (result.verdict != Verdict::kViolated) {
+      result.verdict = result.budget_tripped != BudgetKind::kNone ||
+                               !result.exhaustive
+                           ? Verdict::kInconclusive
+                           : Verdict::kHolds;
     }
     result.wall = std::chrono::steady_clock::now() - start;
   };
@@ -539,7 +514,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // verdict.
   auto try_sharded = [&]() -> bool {
     sched::ShardRunOptions so;
-    so.shards = std::max(1, opts_.shards);
+    so.shards = opts_.shards;
     so.stop_on_violation = !opts_.explore.find_all_violations;
     so.test_on_assign = opts_.shard_test_on_assign;
     so.test_worker_task_delay_ms = opts_.shard_test_worker_delay_ms;
@@ -592,22 +567,17 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
         bm.simulation = eo.simulation ? 1 : 0;
         bm.visited = static_cast<std::uint8_t>(eo.visited);
         bm.bloom_bits = eo.bloom_bits;
-        bm.max_states = eo.max_states;
-        bm.time_limit_ms = eo.time_limit.count();
         bm.budget_max_states = opts_.budget.max_states;
         bm.budget_max_bytes = opts_.budget.max_bytes;
         bm.budget_degrade_visited = opts_.budget.degrade_visited ? 1 : 0;
-        const auto remaining_ms = [&](std::chrono::steady_clock::time_point
-                                          deadline) -> std::int64_t {
-          const auto rem = std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-          return std::max<std::int64_t>(1, rem.count());
-        };
+        // The deadline travels as the remaining milliseconds (at least 1,
+        // so a spent deadline still reads as a deadline on the worker).
         if (opts_.budget.deadline.count() > 0) {
-          bm.budget_deadline_ms = remaining_ms(start + opts_.budget.deadline);
-        }
-        if (opts_.wall_limit.count() > 0) {
-          bm.wall_remaining_ms = remaining_ms(start + opts_.wall_limit);
+          const auto rem = start + opts_.budget.deadline -
+                           std::chrono::steady_clock::now();
+          bm.budget_deadline_ms = std::max<std::int64_t>(
+              1, std::chrono::duration_cast<std::chrono::milliseconds>(rem)
+                     .count());
         }
         bm.engine_kind = static_cast<std::uint8_t>(eo.engine_kind);
         bm.engine_seed = eo.engine_seed;
@@ -661,10 +631,6 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
       } else if (plan.dedup_on && plan.classes.is_translated_member(sr.pec)) {
         ++result.dedup_reruns;  // member explored natively in the worker
       }
-      rep.result.holds = sr.holds;
-      rep.result.timed_out = sr.timed_out;
-      rep.result.state_limit_hit = sr.state_limit_hit;
-      rep.result.memory_limit_hit = sr.memory_limit_hit;
       rep.result.budget_tripped = sr.budget_tripped;
       rep.result.exhaustive = sr.exhaustive;
       rep.result.stats = sr.stats;
@@ -683,8 +649,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     return true;
   };
 
-  if (opts_.shards > 0 ||
-      opts_.scheduler == sched::SchedulerKind::kMultiProcess) {
+  if (opts_.shards > 0) {
     if (try_sharded()) {
       finalize_verdict();
       return result;
@@ -722,8 +687,8 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     return rep;
   };
 
-  // Runs after every run_pec return — including the wall-limit timeout path,
-  // so time-limited runs still release exhausted dependencies.
+  // Runs after every run_pec return — including the spent-deadline path, so
+  // deadline-bounded runs still release exhausted dependencies.
   auto release_dependencies = [&](PecId pec_id) {
     for (const PecId d : deps_.depends_on[pec_id]) {
       if (pending_dependents[d].fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -749,7 +714,8 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     for (const PecId p : task.pecs) {
       PecReport rep = run_pec(p, task.is_target && is_target[p] != 0);
       release_dependencies(p);
-      if (!rep.result.holds && !opts_.explore.find_all_violations) {
+      if (rep.result.verdict() == Verdict::kViolated &&
+          !opts_.explore.find_all_violations) {
         stop.store(true, std::memory_order_relaxed);
       }
       auto& buf = buffers[static_cast<std::size_t>(tc.worker())].reports;
@@ -854,8 +820,6 @@ int serve_shard_worker_session(int fd) {
   eo.simulation = bm.simulation != 0;
   eo.visited = static_cast<VisitedKind>(bm.visited);
   eo.bloom_bits = bm.bloom_bits;
-  eo.max_states = bm.max_states;
-  eo.time_limit = std::chrono::milliseconds(bm.time_limit_ms);
   eo.engine_kind = static_cast<SearchEngineKind>(bm.engine_kind);
   eo.engine_seed = bm.engine_seed;
   eo.engine_restart_policy =
@@ -865,7 +829,6 @@ int serve_shard_worker_session(int fd) {
   vo.budget.max_bytes = bm.budget_max_bytes;
   vo.budget.degrade_visited = bm.budget_degrade_visited != 0;
   vo.budget.deadline = std::chrono::milliseconds(bm.budget_deadline_ms);
-  vo.wall_limit = std::chrono::milliseconds(bm.wall_remaining_ms);
 
   Verifier verifier(pn.net, vo);
   const std::unique_ptr<Policy> policy =

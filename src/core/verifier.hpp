@@ -35,10 +35,6 @@ enum class ShardTransportKind : std::uint8_t {
 struct VerifyOptions {
   ExploreOptions explore;
   int cores = 1;                             ///< worker threads for PEC runs
-  /// Where the SCC task graph runs: the in-process work-stealing scheduler,
-  /// or kMultiProcess, which shards the graph across forked worker
-  /// processes (implied by shards > 0).
-  sched::SchedulerKind scheduler = sched::SchedulerKind::kWorkStealing;
   /// Worker *processes* for the multi-process shard coordinator
   /// (sched/shard.hpp). 0 = in-process scheduling (the default); N >= 1
   /// forks N workers and streams outcomes/verdicts over the wire protocol.
@@ -52,14 +48,14 @@ struct VerifyOptions {
   /// trail text stay bit-identical to a dedup-off run. Default on;
   /// `plankton_verify --no-pec-dedup` turns it off.
   bool pec_dedup = true;
-  std::chrono::milliseconds wall_limit{0};   ///< 0 = none (whole verification)
 
-  /// Resource governance (checker/budget.hpp). `budget.deadline` bounds the
-  /// whole verification like `wall_limit`, but is split into per-PEC slices
-  /// (a fair share of the remaining time over the PECs still unstarted) so
-  /// one monster PEC cannot starve the rest; the state and memory caps apply
-  /// to each PEC exploration. Exhaustion yields Verdict::kInconclusive with
-  /// the tripped axis recorded — never a spurious hold.
+  /// The one bound on this verification (checker/budget.hpp; `explore.budget`
+  /// is overwritten per PEC from this). `budget.deadline` is the whole-run
+  /// deadline, split into per-PEC slices (a fair share of the remaining time
+  /// over the PECs still unstarted) so one monster PEC cannot starve the
+  /// rest; the state and memory caps apply to each PEC exploration.
+  /// Exhaustion yields Verdict::kInconclusive with the tripped axis recorded
+  /// — never a spurious hold.
   ResourceBudget budget;
 
   /// Shard supervision (sched/shard.hpp): worker heartbeat cadence and the
@@ -99,10 +95,9 @@ struct PecReport {
 };
 
 struct VerifyResult {
-  bool holds = true;
-  bool timed_out = false;
   /// Sound whole-run classification: kViolated on any violation, kHolds only
-  /// when every PEC ran to completion within budget, kInconclusive otherwise.
+  /// when every PEC ran to completion within budget with exhaustive
+  /// coverage, kInconclusive otherwise.
   Verdict verdict = Verdict::kHolds;
   /// First budget axis that ended a PEC search early (kNone = none did).
   BudgetKind budget_tripped = BudgetKind::kNone;
@@ -130,6 +125,7 @@ struct VerifyResult {
   /// Coordinator wire counters (multi-process runs only; empty otherwise).
   sched::ShardStats shard;
 
+  [[nodiscard]] bool holds() const { return verdict == Verdict::kHolds; }
   [[nodiscard]] std::string first_violation(const Topology& topo) const;
 };
 

@@ -89,15 +89,11 @@ struct ExploreOptions {
   /// of rescanning every process member (engine/active_set.hpp).
   bool incremental_expand = true;
 
-  std::uint64_t max_states = 0;               ///< 0 = unlimited
-  std::chrono::milliseconds time_limit{0};    ///< 0 = none
-  /// Resource governance for this exploration (checker/budget.hpp). The
-  /// deadline composes with `time_limit` (whichever is earlier wins); the
-  /// state cap composes with `max_states` (smaller non-zero wins); the
-  /// memory cap is checked against the checker's own deterministic byte
-  /// accounting every 256 steps. Exhaustion sets ExploreResult::
-  /// budget_tripped and the verdict degrades to kInconclusive — never a
-  /// hold.
+  /// The one bound on this exploration (checker/budget.hpp): the deadline
+  /// runs from run(), the state cap is checked on every step, and the memory
+  /// cap against the checker's own deterministic byte accounting every 256
+  /// steps. Exhaustion sets ExploreResult::budget_tripped, which verdict()
+  /// turns into kInconclusive — never a hold.
   ResourceBudget budget;
   bool find_all_violations = false;
   bool record_outcomes = false;  ///< keep converged states for dependent PECs
@@ -177,28 +173,23 @@ struct PecOutcome {
 };
 
 struct ExploreResult {
-  bool holds = true;
-  bool timed_out = false;
-  bool state_limit_hit = false;
-  bool memory_limit_hit = false;
   /// Which budget axis ended the search early (kNone = ran to completion).
   BudgetKind budget_tripped = BudgetKind::kNone;
   /// False when coverage was probabilistic: a lossy visited backend was
   /// selected up front, or the memory-pressure degradation migrated the
-  /// exact store to hash compaction mid-run. A `holds` with
-  /// exhaustive == false is a coverage claim, not a proof.
+  /// exact store to hash compaction mid-run.
   bool exhaustive = true;
   std::vector<Violation> violations;
   std::vector<PecOutcome> outcomes;
   SearchStats stats;
 
-  /// Sound classification: a found violation is conclusive even from a
-  /// partial search; a completed search holds; an exhausted budget is
-  /// inconclusive — never reported as a hold.
+  /// The one per-PEC verdict rule: a found violation is conclusive even from
+  /// a partial search; a search ended by a budget or with probabilistic
+  /// coverage is inconclusive — never a hold; only a completed exhaustive
+  /// search holds.
   [[nodiscard]] Verdict verdict() const {
-    if (!holds) return Verdict::kViolated;
-    if (budget_tripped != BudgetKind::kNone || timed_out || state_limit_hit ||
-        memory_limit_hit) {
+    if (!violations.empty()) return Verdict::kViolated;
+    if (budget_tripped != BudgetKind::kNone || !exhaustive) {
       return Verdict::kInconclusive;
     }
     return Verdict::kHolds;
@@ -432,10 +423,8 @@ class Explorer final : public SearchModel {
 
   Trail trail_;
   ExploreResult result_;
-  std::chrono::steady_clock::time_point deadline_{};
-  bool has_deadline_ = false;
+  std::chrono::steady_clock::time_point deadline_{};  ///< run() + budget
   std::uint64_t limit_check_counter_ = 0;
-  std::uint64_t effective_max_states_ = 0;  ///< min non-zero of the two caps
   bool degraded_visited_ = false;           ///< exact→compact migration done
 
   /// Deterministic model-memory accounting for the budget check (the same

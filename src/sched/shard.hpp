@@ -89,7 +89,10 @@ enum class MsgType : std::uint16_t {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
-inline constexpr std::uint16_t kFrameVersion = 1;
+/// Bumped whenever a payload layout changes (2: kTaskDone and kBootstrap
+/// dropped their derived verdict and duplicate bound fields), so a peer from
+/// another build is refused at the header instead of misparsed.
+inline constexpr std::uint16_t kFrameVersion = 2;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
 /// Default ceiling for one frame's payload. Anything larger is treated as a
@@ -162,12 +165,11 @@ struct ViolationMsg {
   std::string trail_text;
 };
 
+/// One PEC's completion. Its verdict is not on the wire: the coordinator
+/// re-derives it (ExploreResult::verdict) from these fields plus the
+/// ViolationMsgs that preceded this frame.
 struct PecDoneMsg {
   PecId pec = 0;
-  std::uint8_t holds = 1;
-  std::uint8_t timed_out = 0;
-  std::uint8_t state_limit_hit = 0;
-  std::uint8_t memory_limit_hit = 0;
   /// BudgetKind of the budget that ended the search early (0 = none).
   std::uint8_t budget_tripped = 0;
   /// 0 when coverage was probabilistic (lossy/degraded visited backend).
@@ -269,10 +271,6 @@ struct ShardTaskSpec {
 /// content for `pec` back to the coordinator (no second copy travels here).
 struct ShardPecResult {
   PecId pec = 0;
-  bool holds = true;
-  bool timed_out = false;
-  bool state_limit_hit = false;
-  bool memory_limit_hit = false;
   BudgetKind budget_tripped = BudgetKind::kNone;
   bool exhaustive = true;
   SearchStats stats;
@@ -284,8 +282,8 @@ struct ShardPecResult {
 
 struct ShardRunOptions {
   int shards = 2;
-  /// Stop dispatching new tasks once any report arrives !holds (the
-  /// in-process early-stop behaviour); in-flight tasks still complete.
+  /// Stop dispatching new tasks once any report arrives with a violation
+  /// (the in-process early-stop behaviour); in-flight tasks still complete.
   bool stop_on_violation = false;
   std::uint64_t max_frame_payload = kDefaultMaxFramePayload;
   /// Give up on a task after this many worker deaths while it was in flight

@@ -39,15 +39,6 @@ struct TaskGraph {
   [[nodiscard]] std::size_t size() const { return waiting_on.size(); }
 };
 
-/// Where the Verifier runs its task graph.
-enum class SchedulerKind : std::uint8_t {
-  kWorkStealing = 0,  ///< in process, run_task_graph below
-  /// Shard the task graph across forked worker processes (sched/shard.hpp).
-  /// Only the Verifier can honor this kind — results must cross an explicit
-  /// wire protocol, which a generic in-process body cannot.
-  kMultiProcess = 2,
-};
-
 /// Task id reported by TaskContext::task() for dynamically spawned subtasks
 /// (they have no slot in the static graph).
 inline constexpr std::size_t kDynamicTask = std::numeric_limits<std::size_t>::max();

@@ -99,21 +99,25 @@ struct WorstCase {
 // ---------------------------------------------------------------------------
 
 TEST(BudgetTaxonomy, VerdictClassification) {
+  // The verdict derives from (violations, budget_tripped, exhaustive) alone.
   ExploreResult r;
   EXPECT_EQ(r.verdict(), Verdict::kHolds);
-  r.timed_out = true;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
+  for (const BudgetKind kind :
+       {BudgetKind::kDeadline, BudgetKind::kStates, BudgetKind::kMemory}) {
+    r = {};
+    r.budget_tripped = kind;
+    EXPECT_EQ(r.verdict(), Verdict::kInconclusive) << to_string(kind);
+  }
+  // A complete search with probabilistic coverage is not a proof.
   r = {};
-  r.state_limit_hit = true;
+  r.exhaustive = false;
   EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  r = {};
-  r.memory_limit_hit = true;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
+  // A violation is sound even from a partial or lossy search: it always wins.
+  r.violations.emplace_back();
+  EXPECT_EQ(r.verdict(), Verdict::kViolated);
   r = {};
   r.budget_tripped = BudgetKind::kStates;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  // A violation is sound even from a partial search: it always wins.
-  r.holds = false;
+  r.violations.emplace_back();
   EXPECT_EQ(r.verdict(), Verdict::kViolated);
 
   EXPECT_STREQ(to_string(BudgetKind::kNone), "none");
@@ -129,10 +133,11 @@ TEST(BudgetTaxonomy, VerdictClassification) {
 TEST(BudgetTaxonomy, UnbudgetedRunIsExhaustiveHold) {
   const WorstCase wc;
   VerifyOptions vo;
-  vo.explore.max_states = 50000;  // under the ~180k full exploration: trips
+  vo.budget.max_states = 50000;  // under the ~180k full exploration: trips
   const VerifyResult capped = wc.run(vo);
   EXPECT_EQ(capped.verdict, Verdict::kInconclusive)
       << "a state-cap stop must not report a hold";
+  EXPECT_EQ(capped.budget_tripped, BudgetKind::kStates);
 
   VerifyOptions unbudgeted;
   EXPECT_FALSE(unbudgeted.budget.any());
@@ -158,9 +163,9 @@ TEST(BudgetDeterminism, StateBudgetTripsIdenticallyTwice) {
   VerifyOptions vo;
   vo.budget.max_states = 5000;
   const VerifyResult first = wc.run(vo);
-  ASSERT_EQ(first.verdict, Verdict::kInconclusive);
+  ASSERT_EQ(first.verdict, Verdict::kInconclusive)
+      << "no spurious violation from a partial search";
   EXPECT_EQ(first.budget_tripped, BudgetKind::kStates);
-  EXPECT_TRUE(first.holds) << "no spurious violation from a partial search";
   EXPECT_EQ(first.pecs_inconclusive, 1u);
   EXPECT_TRUE(first.exhaustive)
       << "a state-cap stop with the exact backend is partial, not lossy";
@@ -178,7 +183,6 @@ TEST(BudgetDeterminism, MemoryBudgetTripsIdenticallyTwice) {
   const VerifyResult first = wc.run(vo);
   ASSERT_EQ(first.verdict, Verdict::kInconclusive);
   EXPECT_EQ(first.budget_tripped, BudgetKind::kMemory);
-  EXPECT_TRUE(first.holds);
   EXPECT_TRUE(first.exhaustive) << "without the degradation opt-in the "
                                    "exact backend stays exact";
   EXPECT_GT(first.total.budget_checks, 0u);
@@ -201,7 +205,6 @@ TEST(BudgetDeterminism, DeadlineClassifiesIdenticallyAcrossRuns) {
     const VerifyResult r = wc.run(vo);
     EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "run " << run;
     EXPECT_EQ(r.budget_tripped, BudgetKind::kDeadline) << "run " << run;
-    EXPECT_TRUE(r.holds) << "run " << run;
   }
 }
 
@@ -234,18 +237,25 @@ TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndShards) {
 }
 
 TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {
-  // The new verdict fields must survive the PecDone wire round-trip: a
-  // sharded budget-tripped run reports the same taxonomy as in-process.
+  // The wire carries no verdict: the coordinator re-derives it from the
+  // PecDone budget axis, the exhaustive flag and the stashed violations, so a
+  // sharded budget-tripped run must report the same taxonomy as in-process.
   const WorstCase wc;
   VerifyOptions vo;
   vo.budget.max_states = 5000;
-  const Fingerprint ref = fingerprint(wc.run(vo));
+  const VerifyResult in_process = wc.run(vo);
+  ASSERT_EQ(in_process.verdict, Verdict::kInconclusive);
+  const Fingerprint ref = fingerprint(in_process);
   for (const int shards : {1, 2}) {
     VerifyOptions sv = vo;
     sv.shards = shards;
     const VerifyResult r = wc.run(sv);
-    EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "shards=" << shards;
+    EXPECT_EQ(r.verdict, in_process.verdict) << "shards=" << shards;
+    EXPECT_EQ(r.budget_tripped, in_process.budget_tripped)
+        << "shards=" << shards;
     EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "shards=" << shards;
+    EXPECT_EQ(r.pecs_inconclusive, in_process.pecs_inconclusive)
+        << "shards=" << shards;
     EXPECT_EQ(fingerprint(r), ref)
         << "shards=" << shards
         << ": budget trip diverged from the in-process run";

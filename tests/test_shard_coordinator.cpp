@@ -58,14 +58,17 @@ sched::TaskDoneMsg sample_done() {
   d.task = 42;
   sched::PecDoneMsg p;
   p.pec = 7;
-  p.holds = 0;
+  p.budget_tripped = static_cast<std::uint8_t>(BudgetKind::kStates);
+  p.exhaustive = 0;
   p.stats.states_explored = 1234;
   p.stats.states_stored = 99;
   p.stats.bytes_visited = 4096;
   p.stats.elapsed = std::chrono::nanoseconds(5555);
   d.pecs.push_back(p);
   p.pec = 8;
-  p.holds = 1;
+  p.budget_tripped = 0;
+  p.exhaustive = 1;
+  p.translated = 1;
   d.pecs.push_back(p);
   return d;
 }
@@ -127,7 +130,13 @@ TEST(ShardFraming, RoundTripsByteByByte) {
   const sched::TaskDoneMsg dref = sample_done();
   ASSERT_EQ(d.pecs.size(), dref.pecs.size());
   EXPECT_EQ(d.task, dref.task);
-  EXPECT_EQ(d.pecs[0].holds, 0);
+  EXPECT_EQ(d.pecs[0].budget_tripped,
+            static_cast<std::uint8_t>(BudgetKind::kStates));
+  EXPECT_EQ(d.pecs[0].exhaustive, 0);
+  EXPECT_EQ(d.pecs[0].translated, 0);
+  EXPECT_EQ(d.pecs[1].budget_tripped, 0);
+  EXPECT_EQ(d.pecs[1].exhaustive, 1);
+  EXPECT_EQ(d.pecs[1].translated, 1);
   EXPECT_EQ(d.pecs[0].stats.states_explored, 1234u);
   EXPECT_EQ(d.pecs[0].stats.bytes_visited, 4096u);
   EXPECT_EQ(d.pecs[0].stats.elapsed.count(), 5555);
@@ -306,6 +315,23 @@ TEST(ShardFraming, RetiredClusterFrameTypesAreRejected) {
   }
 }
 
+TEST(ShardFraming, OlderFrameVersionIsRejected) {
+  // Version 1 frames carried a different kTaskDone and kBootstrap layout. A
+  // well-formed frame stamped with that version must poison the decoder, so
+  // a peer from an older build is refused instead of misparsed.
+  std::string frame;
+  sched::encode_frame(frame, sched::MsgType::kTaskDone,
+                      sched::encode_task_done(sample_done()));
+  const std::uint16_t old_version = 1;
+  ASSERT_NE(old_version, sched::kFrameVersion);
+  frame.replace(4, 2, reinterpret_cast<const char*>(&old_version), 2);
+  sched::FrameDecoder dec;
+  dec.feed(frame.data(), frame.size());
+  sched::Frame f;
+  EXPECT_EQ(dec.next(f), sched::FrameDecoder::Status::kError);
+  EXPECT_EQ(dec.error(), "unsupported frame version");
+}
+
 TEST(ShardFraming, PayloadDecodersRejectCorruptInput) {
   const std::string assign = sched::encode_task_assign({3, {2, 5}});
   const std::string violation = sched::encode_violation(sample_violation());
@@ -350,6 +376,25 @@ TEST(ShardFraming, PayloadDecodersRejectCorruptInput) {
   EXPECT_FALSE(sched::decode_task_done(hostile, d));
   EXPECT_TRUE(d.pecs.empty());
 
+  // Hostile flag bytes in an otherwise intact PecDone: `exhaustive` and
+  // `translated` are strictly 0/1, and the budget axis is at most kMemory.
+  const auto decodes = [&d](const sched::PecDoneMsg& p) {
+    sched::TaskDoneMsg m;
+    m.pecs.push_back(p);
+    return sched::decode_task_done(sched::encode_task_done(m), d);
+  };
+  sched::PecDoneMsg flags;
+  flags.exhaustive = 2;
+  EXPECT_FALSE(decodes(flags));
+  flags = {};
+  flags.translated = 2;
+  EXPECT_FALSE(decodes(flags));
+  flags = {};
+  flags.budget_tripped = static_cast<std::uint8_t>(BudgetKind::kMemory) + 1;
+  EXPECT_FALSE(decodes(flags));
+  flags.budget_tripped = static_cast<std::uint8_t>(BudgetKind::kMemory);
+  EXPECT_TRUE(decodes(flags));
+
   // A failed decode leaves the output default-initialized.
   EXPECT_FALSE(sched::decode_violation(violation.substr(0, 8), v));
   EXPECT_TRUE(v.message.empty());
@@ -369,10 +414,8 @@ serve::BootstrapMsg sample_bootstrap() {
   bm.lec_failures = 1;
   bm.visited = 1;
   bm.bloom_bits = 1u << 20;
-  bm.max_states = 12345;
-  bm.time_limit_ms = 777;
+  bm.budget_max_states = 12345;
   bm.budget_deadline_ms = 1500;
-  bm.wall_remaining_ms = 9000;
   bm.engine_kind = 2;
   bm.engine_seed = 42;
   bm.heartbeat_interval_ms = 250;
@@ -411,8 +454,8 @@ TEST(ShardFraming, ClusterFrameTypesRoundTrip) {
   EXPECT_EQ(bm.targets, ref.targets);
   EXPECT_EQ(bm.max_failures, ref.max_failures);
   EXPECT_EQ(bm.visited, ref.visited);
+  EXPECT_EQ(bm.budget_max_states, ref.budget_max_states);
   EXPECT_EQ(bm.budget_deadline_ms, ref.budget_deadline_ms);
-  EXPECT_EQ(bm.wall_remaining_ms, ref.wall_remaining_ms);
   EXPECT_EQ(bm.engine_kind, ref.engine_kind);
   EXPECT_EQ(bm.engine_seed, ref.engine_seed);
   EXPECT_EQ(bm.heartbeat_interval_ms, ref.heartbeat_interval_ms);
@@ -582,7 +625,7 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
   // Task 0 records outcomes for PEC `producer`; task 1 (dependent) asserts
   // it can see them in its worker-local store — i.e. the delivery made it
   // coordinator -> worker across process boundaries, whatever the shard
-  // assignment. The body communicates the check result through `holds`.
+  // assignment. The body reports a failed check as a violation.
   const Network net = make_ring(5);
   const PecSet pecs = compute_pecs(net);
   const PecId producer = pecs.routed()[0];
@@ -622,9 +665,15 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
         r.record = true;
       } else {
         const auto got = upstream.get(producer);
-        r.holds = got.size() == 2 && got[0].hash == 0xabc &&
-                  got[1].hash == 0xdef &&
-                  got[0].igp_cost.size() == net.topo.node_count();
+        const bool seen = got.size() == 2 && got[0].hash == 0xabc &&
+                          got[1].hash == 0xdef &&
+                          got[0].igp_cost.size() == net.topo.node_count();
+        if (!seen) {
+          sched::ViolationMsg v;
+          v.pec = r.pec;
+          v.message = "upstream outcomes missing";
+          r.violations.push_back(std::move(v));
+        }
       }
       return {r};
     };
@@ -633,8 +682,9 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
     ASSERT_TRUE(rr.ok) << rr.error;
     ASSERT_EQ(rr.reports.size(), 2u);
     for (const auto& rep : rr.reports) {
-      EXPECT_TRUE(rep.holds) << "dependent worker did not see the outcomes "
-                             << "(shards=" << shards << ")";
+      EXPECT_TRUE(rep.violations.empty())
+          << "dependent worker did not see the outcomes (shards=" << shards
+          << ")";
     }
     EXPECT_EQ(rr.stats.frames_received, 3u + (shards > 0 ? 0u : 0u))
         << "2 done frames + 1 outcome delivery";
@@ -681,7 +731,7 @@ TEST(ShardCoordinator, DeterministicallyCrashingTaskErrorsOut) {
 /// multiset (message, failure set, and rendered trail all cross the wire),
 /// and the aggregate state counters.
 struct Fingerprint {
-  bool holds = true;
+  Verdict verdict = Verdict::kHolds;
   std::size_t pecs_verified = 0;
   std::size_t pecs_support = 0;
   std::uint64_t states_explored = 0;
@@ -692,7 +742,7 @@ struct Fingerprint {
   std::multiset<std::string> violations;
 
   friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.holds == b.holds && a.pecs_verified == b.pecs_verified &&
+    return a.verdict == b.verdict && a.pecs_verified == b.pecs_verified &&
            a.pecs_support == b.pecs_support &&
            a.states_explored == b.states_explored &&
            a.states_stored == b.states_stored &&
@@ -704,7 +754,7 @@ struct Fingerprint {
 
 Fingerprint fingerprint(const VerifyResult& r) {
   Fingerprint fp;
-  fp.holds = r.holds;
+  fp.verdict = r.verdict;
   fp.pecs_verified = r.pecs_verified;
   fp.pecs_support = r.pecs_support;
   fp.states_explored = r.total.states_explored;
@@ -799,7 +849,7 @@ TEST(ShardDeterminism, DedupAcrossShardsMatchesDedupOffInProcess) {
       const VerifyResult r = run_verify(inst.net, *inst.policy, sv);
       merged += r.pecs_deduped;
       const Fingerprint fp = fingerprint(r);
-      EXPECT_EQ(fp.holds, ref_fp.holds) << "shards=" << shards;
+      EXPECT_EQ(fp.verdict, ref_fp.verdict) << "shards=" << shards;
       EXPECT_EQ(fp.pecs_verified, ref_fp.pecs_verified) << "shards=" << shards;
       EXPECT_EQ(fp.pecs_support, ref_fp.pecs_support) << "shards=" << shards;
       EXPECT_EQ(fp.violations, ref_fp.violations) << "shards=" << shards;
@@ -864,7 +914,6 @@ TEST(ShardDeterminism, FatTreeK6MatchesInProcessAndWorkStealing) {
 
   VerifyOptions steal = vo;
   steal.cores = 4;
-  steal.scheduler = sched::SchedulerKind::kWorkStealing;
   EXPECT_EQ(fingerprint(run_verify(ft.net, policy, steal)), serial)
       << "work-stealing scheduler diverged (reference for the shard runs)";
 
@@ -957,12 +1006,12 @@ TEST(ShardDeterminism, ViolationVerdictSurvivesEarlyStop) {
   const LoopFreedomPolicy policy;
   VerifyOptions vo;
   const VerifyResult ref = run_verify(ft.net, policy, vo);
-  ASSERT_FALSE(ref.holds);
+  ASSERT_EQ(ref.verdict, Verdict::kViolated);
 
   VerifyOptions sv = vo;
   sv.shards = 2;
   const VerifyResult r = run_verify(ft.net, policy, sv);
-  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.verdict, Verdict::kViolated);
   ASSERT_FALSE(r.reports.empty());
   bool found = false;
   for (const auto& rep : r.reports) found = found || !rep.result.violations.empty();
@@ -1039,7 +1088,7 @@ TEST(ShardSmoke, TwoShardFatTreeLoopCheck) {
   sv.shards = 2;
   const VerifyResult r = run_verify(ft.net, policy, sv);
   EXPECT_EQ(fingerprint(r), ref);
-  EXPECT_TRUE(r.holds);
+  EXPECT_TRUE(r.holds());
   EXPECT_GT(r.shard.frames_sent, 0u);
 }
 

@@ -93,7 +93,7 @@ class ThreadWorker {
 /// The acceptance-criteria fingerprint: verdict, per-PEC counts, aggregate
 /// state counters, and the violation multiset with rendered trails.
 struct Fingerprint {
-  bool holds = true;
+  Verdict verdict = Verdict::kHolds;
   std::size_t pecs_verified = 0;
   std::size_t pecs_support = 0;
   std::uint64_t states_explored = 0;
@@ -101,7 +101,7 @@ struct Fingerprint {
   std::multiset<std::string> violations;
 
   friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.holds == b.holds && a.pecs_verified == b.pecs_verified &&
+    return a.verdict == b.verdict && a.pecs_verified == b.pecs_verified &&
            a.pecs_support == b.pecs_support &&
            a.states_explored == b.states_explored &&
            a.converged_states == b.converged_states &&
@@ -111,7 +111,7 @@ struct Fingerprint {
 
 Fingerprint fingerprint(const VerifyResult& r) {
   Fingerprint fp;
-  fp.holds = r.holds;
+  fp.verdict = r.verdict;
   fp.pecs_verified = r.pecs_verified;
   fp.pecs_support = r.pecs_support;
   fp.states_explored = r.total.states_explored;
